@@ -27,6 +27,7 @@ __all__ = [
     "thm_main_finite",
     "thm_main_ramanujan",
     "thm_main_returns",
+    "return_diagonals",
     "thm_43_lower",
     "lemma_visits_lower",
     "distance_gap",
@@ -147,15 +148,27 @@ def thm_main_ramanujan(
     )
 
 
+def return_diagonals(g: SerreGraph, nks) -> dict:
+    """Exact diag(A^nk) for each even nk in nks with d^nk < 2^53, from one
+    shared matrix-power chain. Lengths outside that float64-exact window are
+    left out; mean_log_return counts those with walk_counts."""
+    d = require_regular(g)
+    fits = sorted({nk for nk in nks if nk % 2 == 0 and d ** nk < 2 ** 53})
+    if not fits:
+        return {}
+    diag = diag_power_counts_batch(g, [nk // 2 for nk in fits])
+    return {nk: diag[nk // 2] for nk in fits}
+
+
 def mean_log_return(g: SerreGraph, nk: int, diag_counts=None) -> float:
     """Average over vertices of log p_nk(o,o), from exact walk counts."""
     d = require_regular(g)
     if nk % 2:
         raise ValueError("nk must be even")
     if diag_counts is None:
-        if d ** nk < 2 ** 53:
-            diag_counts = diag_power_counts_batch(g, (nk // 2,))[nk // 2]
-        elif g.nv * g.ne * nk <= 2 * 10 ** 7:
+        diag_counts = return_diagonals(g, (nk,)).get(nk)
+    if diag_counts is None:
+        if g.nv * g.ne * nk <= 2 * 10 ** 7:
             diag_counts = [walk_counts(g, o, nk)[nk][o] for o in range(g.nv)]
         else:
             raise ValueError("exact return diagonal out of budget for this size")

@@ -6,6 +6,12 @@ edge is traversed a different number of times than its reverse, or a
 half-loop is traversed at all. Rooted-directed counting makes the density
 gamma(G, k) equal to the vertex average of the per-root counts by
 construction; unrooted conventions would differ by a factor up to 2k.
+
+The census is linear in |G| for fixed k: every vertex a counted walk can
+enter lies within floor(k/2) of its root, since a walk that has taken s
+steps is at most s from the root and must get back in the k - s left. So
+the distance map each root's DFS prunes with is a BFS capped at that radius,
+and the degree budget is checked once per census rather than once per root.
 """
 
 from __future__ import annotations
@@ -24,7 +30,11 @@ def _count_closed_nontrivial(g: SerreGraph, v: int, k: int) -> int:
     # DFS over k-step walks from v that can still return in time.
     # Balance state is maintained incrementally: `unbal` counts inverse
     # pairs with unequal traversal counts, `hl` counts half-loop steps.
-    dist = distances_from(g, v)
+    # The BFS stops at radius k // 2 and loses nothing: a step to w at step
+    # s+1 is kept only if dist(w) <= k-s-1, and dist(w) <= s+1 always holds,
+    # so every vertex the DFS enters has 2 dist(w) <= k. A vertex missing
+    # from the capped map lies beyond k // 2 and would be pruned anyway.
+    dist = distances_from(g, v, cap=k // 2)
     inv = g.inv
     counts: dict[int, int] = {}
     total = 0
@@ -65,16 +75,20 @@ def _count_closed_nontrivial(g: SerreGraph, v: int, k: int) -> int:
     return total
 
 
-def gamma_k(g: SerreGraph, v: int, k: int, budget: int = ENUM_BUDGET) -> int:
-    """Number of nontrivial closed k-walks starting at v (exact enumeration)."""
+def _check_budget(g: SerreGraph, k: int, budget: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    dmax = max(g.degree(u) for u in range(g.nv))
+    dmax = max(g.degrees, default=0)
     if dmax ** k > budget:
         raise ValueError(
             f"enumeration budget exceeded: {dmax}^{k} > {budget}; "
             "use gamma_k_mc (CLI flag --mc) for a Monte Carlo estimate"
         )
+
+
+def gamma_k(g: SerreGraph, v: int, k: int, budget: int = ENUM_BUDGET) -> int:
+    """Number of nontrivial closed k-walks starting at v (exact enumeration)."""
+    _check_budget(g, k, budget)
     return _count_closed_nontrivial(g, v, k)
 
 
@@ -122,7 +136,8 @@ class CycleCensus:
 
 
 def cycle_census(g: SerreGraph, k: int, budget: int = ENUM_BUDGET) -> CycleCensus:
-    per = tuple(gamma_k(g, v, k, budget) for v in range(g.nv))
+    _check_budget(g, k, budget)
+    per = tuple(_count_closed_nontrivial(g, v, k) for v in range(g.nv))
     total = sum(per)
     density = Fraction(total, g.nv)
     return CycleCensus(k=k, per_vertex=per, total=total, density=density, mean=density)

@@ -17,6 +17,7 @@ errors and on any failed verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -276,14 +277,34 @@ def _girth_report(g: SerreGraph) -> BoundReport:
     )
 
 
-def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed):
+def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
     if suite == "main":
-        return [(k, bounds.thm_main_finite(g, k)) for k in ks]
+        return [
+            (k, bounds.thm_main_finite(g, k, rho_value=rho(), gamma_mean=gamma(k)))
+            for k in ks
+        ]
     if suite == "ramanujan":
-        return [(k, bounds.thm_main_ramanujan(g, k)) for k in ks]
+        return [
+            (k, bounds.thm_main_ramanujan(g, k, rho_value=rho(), gamma_mean=gamma(k)))
+            for k in ks
+        ]
     if suite == "returns":
         nn = n if n is not None else 4
-        return [(k, bounds.thm_main_returns(g, nn, k)) for k in ks]
+        diag = bounds.return_diagonals(g, [nn * k for k in ks])
+        # an odd nk is a parity error, raised before any census is taken
+        return [
+            (
+                k,
+                bounds.thm_main_returns(
+                    g,
+                    nn,
+                    k,
+                    gamma_mean=gamma(k) if nn * k % 2 == 0 else None,
+                    diag_counts=diag.get(nn * k),
+                ),
+            )
+            for k in ks
+        ]
     if suite == "chi":
         nn = n if n is not None else 4
         return [
@@ -306,10 +327,16 @@ def _cmd_bounds(args, emitter: _Emitter) -> int:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}: choose from {', '.join(SUITES)}")
     ks = _parse_krange(args.k)
+    # the main, ramanujan and returns suites share one eigensolve and one
+    # census per k, computed on first use
+    rho = functools.cache(lambda: markov_spectrum(g).rho)
+    gamma = functools.cache(lambda k: cycle_census(g, k).density)
     rows = []
     verdicts = []
     for suite in suites:
-        for k, rep in _suite_reports(g, suite, ks, args.n, args.samples, args.seed):
+        for k, rep in _suite_reports(
+            g, suite, ks, args.n, args.samples, args.seed, rho, gamma
+        ):
             verdicts.append(rep.verdict)
             failed = ";".join(h.name for h in rep.hypotheses if not h.ok)
             rows.append(

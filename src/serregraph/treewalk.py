@@ -23,7 +23,6 @@ import os
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from .exact import cmp_ratio_bound, rho_tree
 from .report import BoundReport, BoundViolation, report
@@ -199,6 +198,9 @@ def kesten_mckay_moment(d: int, n: int, tol: float = 1e-10) -> float:
     singularity; the quadrature then reaches machine accuracy. Raises if the
     error estimate exceeds tol.
     """
+    # imported here, its only use, so the CLI does not load scipy on every call
+    from scipy import integrate
+
     if n % 2:
         raise ValueError("odd moments vanish; n must be even")
     if d < 2:

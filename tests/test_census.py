@@ -14,7 +14,9 @@ from serregraph.core import (
     rose,
     tree_ball,
 )
+from serregraph.limits import configuration_model
 from serregraph.nullcycles import classify_cycle
+from tests.test_acceptance import _nontrivial_cycle_totals, _sparse_adj
 from tests.test_nullcycles import DESK, schreier_triangle
 
 
@@ -39,6 +41,47 @@ def test_gamma_matches_brute_enumeration(g):
     for k in (1, 2, 3):
         for v in (0, g.nv - 1):
             assert census.gamma_k(g, v, k) == brute_gamma(g, v, k)
+
+
+def walk_gamma(g, v, k):
+    """Oracle without pruning: every k-step walk along out-edges from v,
+    the closed ones classified by classify_cycle."""
+    walks = [(v, ())]
+    for _ in range(k):
+        walks = [(g.dst[e], edges + (e,)) for u, edges in walks for e in g.out_edges(u)]
+    return sum(
+        1
+        for u, edges in walks
+        if u == v and not classify_cycle(g, Walk(v, edges)).trivial
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(10),
+        prism(6),
+        tree_ball(3, 3).graph,
+        configuration_model(3, 64, seed=0),
+        rose(2),
+        half_loop_rose(3),
+    ],
+    ids=["c10", "prism6", "tree3-3", "cfg3-64", "rose2", "hlrose3"],
+)
+def test_gamma_matches_unpruned_walks_at_every_root(g):
+    # k = 1..6 puts the census's BFS cap k // 2 at 0..3; a counted walk that
+    # needed a vertex past the cap would show up here as a shortfall
+    for k in range(1, 7):
+        for v in range(g.nv):
+            assert census.gamma_k(g, v, k) == walk_gamma(g, v, k), (k, v)
+
+
+@pytest.mark.parametrize("d,n", [(3, 4096), (4, 1024)])
+def test_census_matches_trace_identities_at_scale(d, n):
+    g = configuration_model(d, n, seed=0)
+    totals = _nontrivial_cycle_totals(g, _sparse_adj(g))
+    for k in (1, 2, 3):
+        assert census.cycle_census(g, k).density == Fraction(totals[k], n)
 
 
 def test_k4_triangles():

@@ -187,6 +187,53 @@ def test_bounds_girth_always_gated_small(k4_path, capsys):
     assert "floor(beta lnln|G|) >= 1" in out
 
 
+def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatch):
+    import csv
+    import io
+
+    from serregraph import bounds, cli
+    from serregraph.limits import configuration_model
+
+    p = tmp_path / "cfg.sgf"
+    p.write_text(dumps(configuration_model(3, 128, seed=0)))
+    calls = {"markov_spectrum": 0, "cycle_census": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    suites = "main,ramanujan,returns"
+    rc = main(["bounds", "verify", "--in", str(p), "--suite", suites, "--k", "1..3"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert calls == {"markov_spectrum": 1, "cycle_census": 3}
+
+    g = load_path(str(p))
+    direct = {
+        "main": lambda k: bounds.thm_main_finite(g, k),
+        "ramanujan": lambda k: bounds.thm_main_ramanujan(g, k),
+        "returns": lambda k: bounds.thm_main_returns(g, 4, k),
+    }
+    assert [(r["suite"], r["k"]) for r in rows] == [
+        (s, str(k)) for s in direct for k in (1, 2, 3)
+    ]
+    for r in rows:
+        rep = direct[r["suite"]](int(r["k"]))
+        assert (r["lhs"], r["rhs"], r["margin"], r["verdict"]) == (
+            str(rep.lhs),
+            str(rep.rhs),
+            str(rep.margin),
+            rep.verdict,
+        )
+    assert rc == 0
+
+
 def test_bounds_unknown_suite(k4_path, capsys):
     assert main(["bounds", "verify", "--in", k4_path, "--suite", "nosuch"]) == 1
     assert "unknown suite" in capsys.readouterr().err
@@ -331,6 +378,15 @@ def test_missing_file_exit_one(tmp_path, capsys):
 def test_workers_validated(k4_path, capsys):
     assert main(["--workers", "0", "spectrum", "--in", k4_path]) == 1
     assert "--workers" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only kesten_mckay_moment needs scipy; importing it at module level would
+    # cost every CLI call its import time and memory
+    code = "import sys, serregraph.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():
