@@ -296,18 +296,20 @@ def lemma_visits_lower(
     samples: int = 20000,
     seed: int = 0,
     enum_budget: int = 2 * 10 ** 6,
+    rho_value: float | None = None,
 ) -> BoundReport:
     """Mean of chi_ell(w, 0, k) over uniform nullcycles of length n is at
     least gamma_k(root)/(30 (4d-4)^k), with ell = 6*10^8 (4d-4)^k.
 
     Hypotheses: rho(G) <= 19/20 and 2k+2 <= n <= sqrt|G|.
+    rho_value can be injected to share one eigensolve across k.
     """
     d = require_regular(g)
     _check_dk(d, k)
     if n % 2 or n <= 0:
         raise ValueError("n must be positive and even")
     lv = ell(d, k)
-    r = markov_spectrum(g).rho
+    r = markov_spectrum(g).rho if rho_value is None else rho_value
     rho_ok = Hypothesis("rho <= 19/20", r <= 19 / 20, f"rho={r:.6f}")
     n_ok = Hypothesis(
         "2k+2 <= n <= sqrt|G|", 2 * k + 2 <= n <= math.isqrt(g.nv), f"n={n}, |G|={g.nv}"

@@ -315,7 +315,10 @@ def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
         out = []
         for k in ks:
             nn = n if n is not None else 2 * k + 2
-            out.append((k, bounds.lemma_visits_lower(g, 0, nn, k, samples=samples, seed=seed)))
+            rep = bounds.lemma_visits_lower(
+                g, 0, nn, k, samples=samples, seed=seed, rho_value=rho()
+            )
+            out.append((k, rep))
         return out
     return [(0, _girth_report(g))]
 
@@ -327,8 +330,8 @@ def _cmd_bounds(args, emitter: _Emitter) -> int:
         if s not in SUITES:
             raise ValueError(f"unknown suite {s!r}: choose from {', '.join(SUITES)}")
     ks = _parse_krange(args.k)
-    # the main, ramanujan and returns suites share one eigensolve and one
-    # census per k, computed on first use
+    # the main, ramanujan, returns and visits suites share one eigensolve,
+    # and the first three one census per k, each computed on first use
     rho = functools.cache(lambda: markov_spectrum(g).rho)
     gamma = functools.cache(lambda k: cycle_census(g, k).density)
     rows = []

@@ -323,7 +323,9 @@ def induced_subgraph(g: SerreGraph, vertices) -> tuple[SerreGraph, list[int]]:
     """
     new_to_old = list(vertices)
     old_to_new = {v: i for i, v in enumerate(new_to_old)}
-    keep = [e for e in range(g.ne) if g.src[e] in old_to_new and g.dst[e] in old_to_new]
+    # out-edges of the kept vertices only, so a ball costs its own size;
+    # sorting keeps g's edge-id order
+    keep = sorted(e for v in old_to_new for e in g.out_edges(v) if g.dst[e] in old_to_new)
     eid = {e: i for i, e in enumerate(keep)}
     src = [old_to_new[g.src[e]] for e in keep]
     dst = [old_to_new[g.dst[e]] for e in keep]

@@ -234,6 +234,48 @@ def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatc
     assert rc == 0
 
 
+def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
+    import csv
+    import io
+
+    from serregraph import bounds, cli
+    from serregraph.limits import configuration_model
+
+    p = tmp_path / "cfg.sgf"
+    p.write_text(dumps(configuration_model(3, 128, seed=0)))
+    calls = 0
+    solve = cli.markov_spectrum
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    # count eigensolves made by the CLI and inside the verdict functions
+    monkeypatch.setattr(cli, "markov_spectrum", counted)
+    monkeypatch.setattr(bounds, "markov_spectrum", counted)
+    argv = ["bounds", "verify", "--in", str(p), "--suite", "chi,visits", "--k", "2,3"]
+    main(argv + ["--samples", "200"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert calls == 1
+
+    g = load_path(str(p))
+    direct = {
+        "chi": lambda k: bounds.thm_43_lower(g, 0, 4, k, samples=200, seed=0),
+        "visits": lambda k: bounds.lemma_visits_lower(g, 0, 2 * k + 2, k, samples=200, seed=0),
+    }
+    assert [(r["suite"], r["k"]) for r in rows] == [(s, str(k)) for s in direct for k in (2, 3)]
+    for r in rows:
+        rep = direct[r["suite"]](int(r["k"]))
+        assert (r["lhs"], r["rhs"], r["margin"], r["verdict"], r["failed_hypotheses"]) == (
+            str(rep.lhs),
+            str(rep.rhs),
+            str(rep.margin),
+            rep.verdict,
+            ";".join(h.name for h in rep.hypotheses if not h.ok),
+        )
+
+
 def test_bounds_unknown_suite(k4_path, capsys):
     assert main(["bounds", "verify", "--in", k4_path, "--suite", "nosuch"]) == 1
     assert "unknown suite" in capsys.readouterr().err

@@ -126,6 +126,24 @@ def test_induced_subgraph_keeps_involution():
     assert sorted(back) == [0, 1, 2, 5]
 
 
+def test_ball_edges_match_a_full_edge_scan():
+    """Balls keep the parent's edge-id order, as a scan of every edge does."""
+    from serregraph.limits import configuration_model
+
+    graphs = [petersen(), prism(5), rose(2), half_loop_rose(3), configuration_model(3, 64, seed=2)]
+    graphs.append(from_edges(3, [(0, 1), (0, 1), (1, 2), (2, 2)], half_loops=[0, 2]))
+    for g in graphs:
+        for v in range(g.nv):
+            for r in range(4):
+                b = ball(g, v, r)
+                old_to_new = {w: i for i, w in enumerate(b.new_to_old)}
+                keep = [e for e in range(g.ne) if g.src[e] in old_to_new and g.dst[e] in old_to_new]
+                eid = {e: i for i, e in enumerate(keep)}
+                assert b.graph.src == tuple(old_to_new[g.src[e]] for e in keep)
+                assert b.graph.dst == tuple(old_to_new[g.dst[e]] for e in keep)
+                assert b.graph.inv == tuple(eid[g.inv[e]] for e in keep)
+
+
 def test_regularize_with_half_loops():
     path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     g = add_half_loops_to_regularize(path, 3)
