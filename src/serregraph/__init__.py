@@ -6,8 +6,9 @@ and exact arbitrary-precision walk tables on the d-regular tree. On top of
 those it provides eigensolves of the degree-normalized Markov operator,
 uniform nullcycle sampling, cycle censuses, cogrowth, fundamental-group
 walk estimators, local-limit diagnostics, percolation cover growth, and a
-verdict engine that checks explicit inequalities with outward-rounded
-arithmetic.
+verdict engine that checks explicit inequalities: by exact rational
+comparison where both sides are exact, on floats with a stated tolerance
+otherwise.
 """
 
 __version__ = "0.1.0"

@@ -48,7 +48,7 @@ from .exact import frac_str
 from .fungroup import kappa_estimate
 from .limits import configuration_model, ekvivalens_diagnostic
 from .nullcycles import NullcycleSampler, chi_statistic
-from .percolation import cover_sphere_sizes, percolate, window_growth
+from .percolation import percolate, window_growth
 from .report import BoundReport, Hypothesis, report
 from .sgf import SGFError, dumps as sgf_dumps, load_path
 from .spectral import markov_spectrum, nonbacktracking_cogrowth
@@ -436,12 +436,8 @@ def _cmd_percolation(args, emitter: _Emitter) -> int:
         )
     est = window_growth(w, args.nmax, args.tail_fraction)
     if args.csv is not None:
-        from .core import add_half_loops_to_regularize
-
-        reg = add_half_loops_to_regularize(w.cluster, 4)
-        sizes = cover_sphere_sizes(reg, w.cluster_root, args.nmax)
         rows = [
-            (n, sizes[n], est.rates[n - 1]) for n in range(1, args.nmax + 1)
+            (n, est.sizes[n], est.rates[n - 1]) for n in range(1, args.nmax + 1)
         ]
         emitter.write(_csv_lines(("n", "sphere_size", "rate"), rows), args.csv)
     if args.csv is None or args.csv != "-":
@@ -494,12 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "for d-regular graphs.",
     )
     ap.add_argument("--manifest", help="write a replayable run manifest JSON here")
-    ap.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker hint; reductions stay ordered so results do not depend on it",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     tw = sub.add_parser("treewalk", help="exact tree walk tables and bounds")
@@ -606,9 +596,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 1
     emitter = _Emitter()
     try:
         code = args.func(args, emitter)

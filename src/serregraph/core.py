@@ -288,6 +288,58 @@ def distances_from(g: SerreGraph, v: int, cap: int | None = None) -> dict[int, i
     return dist
 
 
+# -- exact walk counting ----------------------------------------------------
+
+
+def _edge_arrays(g: SerreGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """src, dst and inv of g as int64 arrays."""
+    return tuple(np.fromiter(a, dtype=np.int64, count=g.ne) for a in (g.src, g.dst, g.inv))
+
+
+def _inflow(x: np.ndarray, dst: np.ndarray, nv: int) -> np.ndarray:
+    """inflow[v] = sum of the edge-indexed x over the edges into v."""
+    out = np.zeros(nv, dtype=x.dtype)
+    np.add.at(out, dst, x)
+    return out
+
+
+def _step(x: np.ndarray, inflow: np.ndarray, src: np.ndarray, inv=None) -> np.ndarray:
+    """x' = inflow[src]; reduced walks (inv given) drop the reversal x[inv]."""
+    nxt = inflow[src]
+    if inv is not None:
+        nxt -= x[inv]
+    return nxt
+
+
+def _walk_inflows(nv: int, edges, o: int, nmax: int, reduced: bool):
+    """Exact counts of the walks out of o by edge-indexed propagation.
+
+    Yields inflow_n for n = 0..nmax: inflow_n[v] counts the length-n walks
+    from o that end at v, and inflow_0 marks o. x_n[e] counts those whose
+    last edge is e, and a step is x_{n+1} = inflow_n[src] for all walks or
+    inflow_n[src] - x_n[inv] for reduced (non-backtracking) walks: of the
+    walks into src(e), exactly those that arrived by inv(e) would backtrack
+    along e.
+
+    Counts run in uint64 while the max-degree cap (D^n for all walks,
+    D(D-1)^(n-1) for reduced walks) is below 2^64, and in Python ints
+    (object arrays) after that.
+    """
+    src, dst, inv = edges
+    dmax = int(np.bincount(src).max()) if len(src) else 0
+    x = np.zeros(len(src), dtype=np.uint64)
+    inflow = np.zeros(nv, dtype=np.uint64)
+    inflow[o] = 1
+    yield inflow
+    for n in range(1, nmax + 1):
+        cap = dmax * (dmax - 1) ** (n - 1) if reduced else dmax ** n
+        if x.dtype != object and cap >= 2 ** 64:
+            x, inflow = x.astype(object), inflow.astype(object)
+        x = _step(x, inflow, src, inv if reduced else None)
+        inflow = _inflow(x, dst, nv)
+        yield inflow
+
+
 def is_connected(g: SerreGraph) -> bool:
     if g.nv == 0:
         return True

@@ -1,9 +1,8 @@
-"""Exact and outward-rounded comparison helpers.
+"""Exact comparison helpers.
 
 Inequality verdicts must never flip because of floating-point drift. The
-helpers here either compare exact rationals (squaring away the single square
-root that appears in 2*sqrt(d-1)/d) or round float intermediates outward
-before comparing.
+helpers here compare exact rationals, squaring away the single square root
+that appears in 2*sqrt(d-1)/d.
 """
 
 from __future__ import annotations
@@ -39,31 +38,6 @@ def cmp_ratio_bound(r: Fraction, coef: Fraction, d: int, n: int) -> int:
     if lhs < rhs:
         return -1
     return 0
-
-
-def outward(x: float, ulps: int = 2) -> tuple[float, float]:
-    """Interval [lo, hi] containing x, widened by a few ulps each way."""
-    lo = hi = x
-    for _ in range(ulps):
-        lo = math.nextafter(lo, -math.inf)
-        hi = math.nextafter(hi, math.inf)
-    return lo, hi
-
-
-def frac_certainly_lt(q: Fraction, x: float, ulps: int = 2) -> bool:
-    """True only if q < x holds for every float within a few ulps of x."""
-    lo, _ = outward(x, ulps)
-    return q < Fraction(lo)
-
-
-def frac_certainly_le(q: Fraction, x: float, ulps: int = 2) -> bool:
-    lo, _ = outward(x, ulps)
-    return q <= Fraction(lo)
-
-
-def frac_certainly_gt(q: Fraction, x: float, ulps: int = 2) -> bool:
-    _, hi = outward(x, ulps)
-    return q > Fraction(hi)
 
 
 def frac_str(q: Fraction) -> str:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, Walk, require_regular
+from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, require_regular
 from .exact import rho_tree
 from .report import BoundReport, BoundViolation, Hypothesis, report
 from .spectral import markov_spectrum
@@ -317,25 +317,7 @@ def kappa_estimate(
 
 def _nb_counts(g: SerreGraph, o: int, kmax: int) -> list[list[int]]:
     """nb[j][x] = number of backtrack-free j-walks from o to x, exact."""
-    nb = [[0] * g.nv for _ in range(kmax + 1)]
-    nb[0][o] = 1
-    cur = [1 if g.src[e] == o else 0 for e in range(g.ne)]
-    for j in range(1, kmax + 1):
-        for e in range(g.ne):
-            if cur[e]:
-                nb[j][g.dst[e]] += cur[e]
-        if j == kmax:
-            break
-        nxt = [0] * g.ne
-        for e in range(g.ne):
-            c = cur[e]
-            if not c:
-                continue
-            for f in g.out_edges(g.dst[e]):
-                if f != g.inv[e]:
-                    nxt[f] += c
-        cur = nxt
-    return nb
+    return [c.tolist() for c in _walk_inflows(g.nv, _edge_arrays(g), o, kmax, reduced=True)]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SerreGraph, Walk, require_regular
+from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, require_regular
 from .report import BoundReport, BoundViolation, Hypothesis, upper
 from .treewalk import bridge_distance_distribution, tables_for
 
@@ -152,10 +152,6 @@ class NullcycleSampler:
         return Walk(self.root, tuple(edges))
 
 
-def sample_nullcycle(sampler: NullcycleSampler, seed) -> Walk:
-    return sampler.sample(seed)
-
-
 def sampler_distribution(g: SerreGraph, root: int, n: int) -> dict[tuple[int, ...], Fraction]:
     """The sampler's induced distribution, computed symbolically by walking
     every branch and multiplying exact step probabilities."""
@@ -228,27 +224,14 @@ def chi_statistic(g: SerreGraph, walk: Walk, k: int, ell: int) -> int:
 
 def nonbacktracking_hit_fractions(g: SerreGraph, root: int, targets, nmax: int) -> list[Fraction]:
     """q_k(A): probability that a uniform non-backtracking k-step path from
-    the root ends in A. Exact integer path counts over d (d-1)^(k-1)."""
+    the root ends in A. Exact integer path counts over d (d-1)^(k-1); q_k is
+    0 where no reduced k-path exists (d = 1, k >= 2)."""
     d = require_regular(g)
-    tset = set(targets)
-    out = [Fraction(1 if root in tset else 0)]
-    x = [0] * g.ne
-    for e in g.out_edges(root):
-        x[e] += 1
-    for k in range(1, nmax + 1):
-        hits = sum(x[e] for e in range(g.ne) if g.dst[e] in tset)
-        out.append(Fraction(hits, d * (d - 1) ** (k - 1)))
-        if k == nmax:
-            break
-        new = [0] * g.ne
-        for e in range(g.ne):
-            if x[e]:
-                xe = x[e]
-                inv_e = g.inv[e]
-                for f in g.out_edges(g.dst[e]):
-                    if f != inv_e:
-                        new[f] += xe
-        x = new
+    hit = [v for v in set(targets) if 0 <= v < g.nv]
+    out = []
+    for k, c in enumerate(_walk_inflows(g.nv, _edge_arrays(g), root, nmax, reduced=True)):
+        paths = d * (d - 1) ** (k - 1) if k else 1
+        out.append(Fraction(int(c[hit].sum()), paths) if paths else Fraction(0))
     return out
 
 

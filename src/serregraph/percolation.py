@@ -1,10 +1,12 @@
 """Supercritical site percolation windows and cover sphere growth.
 
 A window draws one seeded open mask, cuts out the connected cluster of the
-central origin, and hands it over as a SerreGraph. Regularized to degree 4
-with half-loops, the cluster's universal cover has sphere sizes equal to
-non-backtracking path counts from the root; the tail of |S_n|^(1/n) is the
-finite stand-in for the lower growth of the infinite cluster's cover.
+central origin, and hands it over as a SerreGraph. The cluster's universal
+cover has sphere sizes equal to non-backtracking path counts from the root,
+counted exactly by the edge-indexed walk kernel of core; regularizing the
+cluster to degree 4 with half-loops would not change them, since half-loops
+do not move in the cover. The tail of |S_n|^(1/n) is the finite stand-in
+for the lower growth of the infinite cluster's cover.
 
 Finite windows clip the infinite cluster. Counts at radius n are unbiased
 only while the metric ball stays off the window border, so every growth
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SerreGraph, add_half_loops_to_regularize
+from .core import SerreGraph, _edge_arrays, _walk_inflows
 
 __all__ = [
     "PercolationWindow",
@@ -131,63 +133,25 @@ def percolate(width: int, height: int, p: float, seed) -> PercolationWindow:
     )
 
 
-def cover_sphere_sizes(
-    g: SerreGraph, root: int, nmax: int, traverse_half_loops: bool = False
-) -> list[int]:
+def cover_sphere_sizes(g: SerreGraph, root: int, nmax: int) -> list[int]:
     """|S_n| of the universal cover for n <= nmax: non-backtracking paths.
 
     Cover vertices at distance n over the root's lift are exactly the
-    reduced length-n paths out of the root. Half-loops are their own
-    reversal; stepping them is off by default because regularization
-    half-loops do not move in the cover (the rule that keeps tree inputs
-    and regularized clusters on the same footing), on demand they count as
-    steps with d-1 continuations each.
-
-    Counts run in uint64 while the d(d-1)^(n-1) cap fits, then in plain
-    integers.
+    reduced length-n paths out of the root. Half-loops are never stepped:
+    they do not move in the cover, which keeps tree inputs and clusters
+    regularized with half-loops on the same footing, so the count runs on
+    the graph without them. Counts are exact, in uint64 while the
+    d(d-1)^(n-1) cap fits and in Python ints after that.
     """
     if not 0 <= root < g.nv:
         raise ValueError("root out of range")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    sizes = [1]
-    if nmax == 0:
-        return sizes
-    d = max(g.degrees) if g.nv else 0
-    allowed = [traverse_half_loops or g.inv[e] != e for e in range(g.ne)]
-    start = [e for e in g.out_edges(root) if allowed[e]]
-    if d <= 1 or d * (d - 1) ** (nmax - 1) < 2 ** 64:
-        src = np.asarray(g.src, dtype=np.int64) if g.ne else np.zeros(0, np.int64)
-        dst = np.asarray(g.dst, dtype=np.int64) if g.ne else np.zeros(0, np.int64)
-        inv = np.asarray(g.inv, dtype=np.int64) if g.ne else np.zeros(0, np.int64)
-        blocked = ~np.asarray(allowed, dtype=bool) if g.ne else np.zeros(0, bool)
-        cur = np.zeros(g.ne, dtype=np.uint64)
-        for e in start:
-            cur[e] += np.uint64(1)
-        for n in range(1, nmax + 1):
-            sizes.append(int(cur.sum()))
-            if n == nmax:
-                break
-            inflow = np.zeros(g.nv, dtype=np.uint64)
-            np.add.at(inflow, dst, cur)
-            cur = inflow[src] - cur[inv]
-            cur[blocked] = 0
-        return sizes
-    cur_l = [0] * g.ne
-    for e in start:
-        cur_l[e] += 1
-    for n in range(1, nmax + 1):
-        sizes.append(sum(cur_l))
-        if n == nmax:
-            break
-        inflow_l = [0] * g.nv
-        for e in range(g.ne):
-            inflow_l[g.dst[e]] += cur_l[e]
-        cur_l = [
-            inflow_l[g.src[e]] - cur_l[g.inv[e]] if allowed[e] else 0
-            for e in range(g.ne)
-        ]
-    return sizes
+    src, dst, inv = _edge_arrays(g)
+    keep = inv != np.arange(g.ne)
+    renumber = np.cumsum(keep) - 1
+    edges = (src[keep], dst[keep], renumber[inv[keep]])
+    return [int(c.sum()) for c in _walk_inflows(g.nv, edges, root, nmax, reduced=True)]
 
 
 def _log_big(x: int) -> float:
@@ -200,12 +164,14 @@ def _log_big(x: int) -> float:
 
 @dataclass(frozen=True)
 class GrowthEstimate:
-    """Tail minimum of |S_n|^(1/n) as the finite proxy for lower growth."""
+    """Tail minimum of |S_n|^(1/n) as the finite proxy for lower growth,
+    with the sphere sizes it was taken from."""
 
     value: float
     tail_start: int
     rates: tuple[float, ...]
     boundary_clean: bool
+    sizes: tuple[int, ...]
 
 
 def lower_growth_estimate(
@@ -229,17 +195,20 @@ def lower_growth_estimate(
     nmax = len(rates)
     tail_start = nmax - math.ceil(tail_fraction * nmax) + 1
     value = min(rates[tail_start - 1 :])
-    return GrowthEstimate(value, tail_start, rates, boundary_clean)
+    return GrowthEstimate(value, tail_start, rates, boundary_clean, tuple(sizes))
 
 
 def window_growth(
     window: PercolationWindow, nmax: int, tail_fraction: float = 0.25
 ) -> GrowthEstimate:
-    """Regularize the cluster to degree 4 and estimate its cover growth."""
+    """Estimate the cover growth of the window's cluster.
+
+    The count runs on the cluster itself: regularizing it to degree 4 with
+    half-loops would leave every sphere size unchanged.
+    """
     if window.cluster_root < 0:
         raise ValueError("origin closed: empty cluster has no cover")
-    reg = add_half_loops_to_regularize(window.cluster, 4)
-    sizes = cover_sphere_sizes(reg, window.cluster_root, nmax)
+    sizes = cover_sphere_sizes(window.cluster, window.cluster_root, nmax)
     return lower_growth_estimate(
         sizes, tail_fraction, boundary_clean=window.boundary_clean(nmax)
     )

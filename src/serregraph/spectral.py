@@ -19,7 +19,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Ball, SerreGraph, adjacency, connected_components, require_regular
+from .core import (
+    Ball,
+    SerreGraph,
+    _edge_arrays,
+    _inflow,
+    _step,
+    _walk_inflows,
+    adjacency,
+    connected_components,
+    require_regular,
+)
 from .exact import rho_tree
 from .report import BoundReport, Hypothesis, report
 
@@ -146,18 +156,7 @@ def spectral_measure(g: SerreGraph, root: int | None = None) -> SpectralMeasure:
 
 def walk_counts(g: SerreGraph, o: int, nmax: int) -> list[list[int]]:
     """counts[n][v] = number of length-n walks o -> v, exact integers."""
-    rows = [[g.dst[e] for e in g.out_edges(v)] for v in range(g.nv)]
-    vec = [0] * g.nv
-    vec[o] = 1
-    out = [vec]
-    for _ in range(nmax):
-        new = [0] * g.nv
-        for v, x in enumerate(out[-1]):
-            if x:
-                for w in rows[v]:
-                    new[w] += x
-        out.append(new)
-    return out
+    return [c.tolist() for c in _walk_inflows(g.nv, _edge_arrays(g), o, nmax, reduced=False)]
 
 
 def return_probability_dp(g: SerreGraph, o: int, nmax: int) -> list[Fraction]:
@@ -269,14 +268,15 @@ def hashimoto_matrix(g: SerreGraph) -> np.ndarray:
     return B
 
 
+def _b_operator(g: SerreGraph):
+    """x -> x B, with g's edge arrays built once: (x B)[f] sums x over the
+    edges feeding f, which is the reduced walk step."""
+    src, dst, inv = _edge_arrays(g)
+    return lambda x: _step(x, _inflow(x, dst, g.nv), src, inv)
+
+
 def _apply_b(g: SerreGraph, x: np.ndarray) -> np.ndarray:
-    """(x B)[f] = sum over e feeding f; computed as vertex sums minus the
-    reversal term."""
-    vsum = np.zeros(g.nv)
-    np.add.at(vsum, np.fromiter(g.dst, dtype=np.int64, count=g.ne), x)
-    src = np.fromiter(g.src, dtype=np.int64, count=g.ne)
-    invperm = np.fromiter(g.inv, dtype=np.int64, count=g.ne)
-    return vsum[src] - x[invperm]
+    return _b_operator(g)(x)
 
 
 def has_cycle(g: SerreGraph) -> bool:
@@ -290,21 +290,7 @@ def has_cycle(g: SerreGraph) -> bool:
 
 def nonbacktracking_closed_counts(g: SerreGraph, o: int, nmax: int) -> list[int]:
     """Exact counts of closed non-backtracking walks based at o, n = 0..nmax."""
-    succ = [[f for f in g.out_edges(g.dst[e]) if f != g.inv[e]] for e in range(g.ne)]
-    into_o = [e for e in range(g.ne) if g.dst[e] == o]
-    x = [1 if g.src[e] == o else 0 for e in range(g.ne)]
-    out = [1]
-    for n in range(1, nmax + 1):
-        out.append(sum(x[e] for e in into_o))
-        if n == nmax:
-            break
-        new = [0] * g.ne
-        for e in range(g.ne):
-            if x[e]:
-                for f in succ[e]:
-                    new[f] += x[e]
-        x = new
-    return out
+    return [int(c[o]) for c in _walk_inflows(g.nv, _edge_arrays(g), o, nmax, reduced=True)]
 
 
 @dataclass
@@ -331,10 +317,11 @@ def hashimoto_perron(g: SerreGraph, tol: float = 1e-10, max_iter: int = 100000) 
         return float(rowsums.pop()), "row-sums"
     if not has_cycle(g):
         return 0.0, "acyclic"
+    apply_b = _b_operator(g)
     x = np.ones(g.ne)
     est = 0.0
     for it in range(max_iter):
-        y = _apply_b(g, x) + x
+        y = apply_b(x) + x
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             return 0.0, "nilpotent"
@@ -347,7 +334,7 @@ def hashimoto_perron(g: SerreGraph, tol: float = 1e-10, max_iter: int = 100000) 
     x = np.ones(g.ne)
     est = 0.0
     for it in range(max_iter):
-        y = _apply_b(g, _apply_b(g, x))
+        y = apply_b(apply_b(x))
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             return 0.0, "nilpotent"

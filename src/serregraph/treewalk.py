@@ -1,8 +1,9 @@
 """Exact walk combinatorics on the d-regular tree and on Z.
 
-Everything here is arbitrary-precision integer or exact rational; floats
-appear only inside bound comparisons (outward-rounded) and in the explicitly
-approximate helpers (quadrature, large-length normalized DP, Monte Carlo).
+Everything here is arbitrary-precision integer or exact rational; bound
+comparisons are exact rational, floats appear only in reported margins and
+in the explicitly approximate helpers (quadrature, large-length normalized
+DP, Monte Carlo).
 
 Core tables, for the infinite d-regular tree rooted at o:
 

@@ -347,6 +347,50 @@ def test_percolation_csv_rows(tmp_path, capsys):
     assert summary["p"] == 0.85
 
 
+GROWTH_CSV = """n,sphere_size,rate
+1,4,4.0
+2,9,3.0000000000000004
+3,26,2.9624960684073707
+4,69,2.882121417102006
+5,180,2.825234500494767
+6,461,2.7793942469141193
+7,1163,2.7411951783947575
+8,3030,2.7238320679225416
+9,7819,2.70752426204251
+10,20450,2.6981701368236277
+"""
+
+GROWTH_SUMMARY = """{
+  "border_distance": 33,
+  "boundary_clean": true,
+  "cluster_size": 3024,
+  "growth": 2.6981701368236277,
+  "p": 0.85,
+  "seed": 2,
+  "size": 60,
+  "tail_start": 8
+}
+"""
+
+
+def test_percolation_csv_counts_spheres_once(tmp_path, capsys, monkeypatch):
+    from serregraph import percolation
+
+    calls = []
+    count = percolation.cover_sphere_sizes
+    monkeypatch.setattr(percolation, "cover_sphere_sizes",
+                        lambda *a: calls.append(a) or count(*a))
+    csv = tmp_path / "growth.csv"
+    args = ["percolation", "growth", "--p", "0.85", "--size", "60", "--seed", "2", "--nmax", "10"]
+    assert main(args + ["--csv", str(csv)]) == 0
+    assert len(calls) == 1
+    assert csv.read_text() == GROWTH_CSV
+    assert capsys.readouterr().out == GROWTH_SUMMARY
+    assert main(args + ["--csv"]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == GROWTH_CSV
+
+
 def test_percolation_closed_origin_errors(capsys):
     args = ["percolation", "growth", "--p", "0.4", "--size", "21", "--seed", "0"]
     assert main(args) == 1
@@ -415,11 +459,6 @@ def test_bad_sgf_exit_one(tmp_path, capsys):
 def test_missing_file_exit_one(tmp_path, capsys):
     assert main(["spectrum", "--in", str(tmp_path / "nope.sgf")]) == 1
     assert "error" in capsys.readouterr().err
-
-
-def test_workers_validated(k4_path, capsys):
-    assert main(["--workers", "0", "spectrum", "--in", k4_path]) == 1
-    assert "--workers" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

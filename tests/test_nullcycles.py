@@ -217,6 +217,14 @@ def test_expected_visits_matches_enumeration(g):
         assert got.value == brute_expected_visits(g, 0, targets, 6)
 
 
+@pytest.mark.parametrize("g", [complete_graph(2), half_loop_rose(1)], ids=lambda g: g.name)
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_expected_visits_on_one_regular_graphs(g, n):
+    # no reduced path is longer than 1 at d = 1; those distances get weight 0
+    got = nc.expected_visits(g, 0, {0}, n)
+    assert got.value == brute_expected_visits(g, 0, {0}, n)
+
+
 def test_expected_visits_n2_is_two():
     got = nc.expected_visits(complete_graph(4), 0, {0}, 2)
     assert got.value == 2
