@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .census import cycle_census, gamma_k
-from .core import SerreGraph, Walk, require_regular
+from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, require_regular
 from .exact import rho_tree
 from .nullcycles import NullcycleSampler, chi_statistic, classify_cycle, enumerate_nullcycles
 from .report import BoundReport, Hypothesis, report, upper
-from .spectral import diag_power_counts_batch, markov_spectrum, walk_counts
+from .spectral import diag_power_counts_batch, markov_spectrum
 from .treewalk import tables_for
 
 __all__ = [
@@ -151,13 +151,20 @@ def thm_main_ramanujan(
 def return_diagonals(g: SerreGraph, nks) -> dict:
     """Exact diag(A^nk) for each even nk in nks with d^nk < 2^53, from one
     shared matrix-power chain. Lengths outside that float64-exact window are
-    left out; mean_log_return counts those with walk_counts."""
+    left out; mean_log_return counts those with the walk kernel."""
     d = require_regular(g)
     fits = sorted({nk for nk in nks if nk % 2 == 0 and d ** nk < 2 ** 53})
     if not fits:
         return {}
     diag = diag_power_counts_batch(g, [nk // 2 for nk in fits])
     return {nk: diag[nk // 2] for nk in fits}
+
+
+def _closed_walks(g: SerreGraph, o: int, nk: int) -> int:
+    """Exact closed nk-walk count at o: the kernel run to its last row only."""
+    for inflow in _walk_inflows(g.nv, _edge_arrays(g), o, nk, reduced=False):
+        pass
+    return int(inflow[o])
 
 
 def mean_log_return(g: SerreGraph, nk: int, diag_counts=None) -> float:
@@ -169,7 +176,7 @@ def mean_log_return(g: SerreGraph, nk: int, diag_counts=None) -> float:
         diag_counts = return_diagonals(g, (nk,)).get(nk)
     if diag_counts is None:
         if g.nv * g.ne * nk <= 2 * 10 ** 7:
-            diag_counts = [walk_counts(g, o, nk)[nk][o] for o in range(g.nv)]
+            diag_counts = [_closed_walks(g, o, nk) for o in range(g.nv)]
         else:
             raise ValueError("exact return diagonal out of budget for this size")
     total = 0.0
@@ -246,7 +253,7 @@ def thm_43_lower(
         raise ValueError("nk must be positive and even")
     lv = ell(d, k) if ell_value is None else ell_value
     ck = float(c_k(d, k))
-    closed = walk_counts(g, root, nk)[nk][root]
+    closed = _closed_walks(g, root, nk)
     ncount = tables_for(d, max(nk, 2)).c[nk][0]
     notes = ""
     if d ** nk <= enum_budget:

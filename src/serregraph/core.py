@@ -5,6 +5,11 @@ swapped. A half-loop is an id with inv(e) == e; it contributes 1 to the
 degree of its vertex. A full loop is stored as two mutually inverse ids and
 contributes 2. Keeping the involution explicit makes loops, covers, and
 non-backtracking conditions unambiguous.
+
+A graph keeps src, dst and inv twice: as tuples of Python ints for the
+edge-by-edge steps of samplers, DFS and refinement (a tuple index costs a
+quarter of an ndarray scalar index), and as read-only int64 arrays for the
+vectorized kernels, which _edge_arrays returns.
 """
 
 from __future__ import annotations
@@ -13,6 +18,24 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _index_table(cols) -> np.ndarray:
+    """src, dst and inv as one fresh (3, ne) int64 array. An integer outside
+    int64 becomes -1, which every range check rejects; an entry that is not
+    an integer raises."""
+    try:
+        m = np.array(cols)
+    except ValueError:  # entries that are sequences themselves
+        m = np.empty(0, dtype=object)
+    if m.ndim == 2 and (m.dtype.kind in "ib" or not m.size):
+        return m.astype(np.int64, copy=False)
+    for col, what in zip(cols, ("endpoint", "endpoint", "involution id")):
+        e = next((e for e, x in enumerate(col) if not isinstance(x, (int, np.integer))), None)
+        if e is not None:
+            raise ValueError(f"edge {e} {what} is not an integer")
+    return np.array([[x if -2 ** 63 <= x < 2 ** 63 else -1 for x in map(int, c)] for c in cols],
+                    np.int64)
 
 
 class SerreGraph:
@@ -24,34 +47,38 @@ class SerreGraph:
     reported on.
     """
 
-    __slots__ = ("nv", "src", "dst", "inv", "name", "_out", "_deg")
+    __slots__ = ("nv", "src", "dst", "inv", "name", "_arrays", "_deg", "_out")
 
     def __init__(self, nv, src, dst, inv, name=None):
         self.nv = int(nv)
-        self.src = tuple(src)
-        self.dst = tuple(dst)
-        self.inv = tuple(inv)
         self.name = name
-        ne = len(self.src)
-        if len(self.dst) != ne or len(self.inv) != ne:
+        cols = [c if hasattr(c, "__len__") else list(c) for c in (src, dst, inv)]
+        ne = len(cols[0])
+        if len(cols[1]) != ne or len(cols[2]) != ne:
             raise ValueError("src, dst, inv must have equal length")
-        for e in range(ne):
-            if not (0 <= self.src[e] < self.nv and 0 <= self.dst[e] < self.nv):
-                raise ValueError(f"edge {e} endpoint out of range")
-            if not 0 <= self.inv[e] < ne:
-                raise ValueError(f"edge {e} involution id out of range")
-        out = [[] for _ in range(self.nv)]
-        for e in range(ne):
-            out[self.src[e]].append(e)
-        self._out = tuple(tuple(es) for es in out)
-        self._deg = tuple(len(es) for es in out)
+        m = _index_table(cols)
+        bad = (m < 0) | (m >= np.array([[self.nv], [self.nv], [ne]]))
+        if bad.any():
+            e = int(bad.any(axis=0).argmax())
+            raise ValueError(f"edge {e} {'endpoint' if bad[:2, e].any() else 'involution id'} out of range")
+        m.flags.writeable = False
+        self._arrays = tuple(m)
+        self.src, self.dst, self.inv = map(tuple, m.tolist())
+        self._deg = tuple(np.bincount(m[0], minlength=self.nv).tolist())
 
     @property
     def ne(self):
         return len(self.src)
 
     def out_edges(self, v):
-        return self._out[v]
+        try:
+            return self._out[v]
+        except AttributeError:  # the out-edge table is built on first use
+            out = [[] for _ in range(self.nv)]
+            for e, u in enumerate(self.src):
+                out[u].append(e)
+            self._out = tuple(map(tuple, out))
+            return self._out[v]
 
     def degree(self, v):
         return self._deg[v]
@@ -64,10 +91,10 @@ class SerreGraph:
         return self.inv[e] == e
 
     def half_loop_count(self, v):
-        return sum(1 for e in self._out[v] if self.inv[e] == e)
+        return sum(1 for e in self.out_edges(v) if self.inv[e] == e)
 
     def full_loop_pairs(self, v):
-        return sum(1 for e in self._out[v] if self.inv[e] != e and self.dst[e] == v) // 2
+        return sum(1 for e in self.out_edges(v) if self.inv[e] != e and self.dst[e] == v) // 2
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -251,11 +278,9 @@ def triangle_tree_ball(r) -> RootedGraph:
 
 
 def disjoint_union(a: SerreGraph, b: SerreGraph, name=None) -> SerreGraph:
-    off_v, off_e = a.nv, a.ne
-    src = list(a.src) + [v + off_v for v in b.src]
-    dst = list(a.dst) + [v + off_v for v in b.dst]
-    inv = list(a.inv) + [e + off_e for e in b.inv]
-    return SerreGraph(a.nv + b.nv, src, dst, inv, name=name)
+    shift = (a.nv, a.nv, a.ne)
+    arrays = (np.concatenate([x, y + k]) for x, y, k in zip(a._arrays, b._arrays, shift))
+    return SerreGraph(a.nv + b.nv, *arrays, name=name)
 
 
 def adjacency(g: SerreGraph) -> np.ndarray:
@@ -265,8 +290,7 @@ def adjacency(g: SerreGraph) -> np.ndarray:
     equal degrees.
     """
     A = np.zeros((g.nv, g.nv), dtype=np.int64)
-    for e in range(g.ne):
-        A[g.src[e], g.dst[e]] += 1
+    np.add.at(A, g._arrays[:2], 1)
     return A
 
 
@@ -292,8 +316,8 @@ def distances_from(g: SerreGraph, v: int, cap: int | None = None) -> dict[int, i
 
 
 def _edge_arrays(g: SerreGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """src, dst and inv of g as int64 arrays."""
-    return tuple(np.fromiter(a, dtype=np.int64, count=g.ne) for a in (g.src, g.dst, g.inv))
+    """src, dst and inv of g as the read-only int64 arrays the graph keeps."""
+    return g._arrays
 
 
 def _inflow(x: np.ndarray, dst: np.ndarray, nv: int) -> np.ndarray:
@@ -303,11 +327,13 @@ def _inflow(x: np.ndarray, dst: np.ndarray, nv: int) -> np.ndarray:
     return out
 
 
-def _step(x: np.ndarray, inflow: np.ndarray, src: np.ndarray, inv=None) -> np.ndarray:
-    """x' = inflow[src]; reduced walks (inv given) drop the reversal x[inv]."""
-    nxt = inflow[src]
+def _step(x: np.ndarray, inflow: np.ndarray, src: np.ndarray, inv=None, out=(None, None)):
+    """x' = inflow[src]; reduced walks (inv given) drop the reversal x[inv].
+    out may name two buffers shaped like x to write x' and x[inv] to; mode
+    "clip" keeps np.take from buffering them (the indices are checked edges)."""
+    nxt = np.take(inflow, src, out=out[0], mode="clip")
     if inv is not None:
-        nxt -= x[inv]
+        nxt -= np.take(x, inv, out=out[1], mode="clip")
     return nxt
 
 
@@ -328,6 +354,7 @@ def _walk_inflows(nv: int, edges, o: int, nmax: int, reduced: bool):
     src, dst, inv = edges
     dmax = int(np.bincount(src).max()) if len(src) else 0
     x = np.zeros(len(src), dtype=np.uint64)
+    spare = (np.empty_like(x), np.empty_like(x))
     inflow = np.zeros(nv, dtype=np.uint64)
     inflow[o] = 1
     yield inflow
@@ -335,7 +362,10 @@ def _walk_inflows(nv: int, edges, o: int, nmax: int, reduced: bool):
         cap = dmax * (dmax - 1) ** (n - 1) if reduced else dmax ** n
         if x.dtype != object and cap >= 2 ** 64:
             x, inflow = x.astype(object), inflow.astype(object)
-        x = _step(x, inflow, src, inv if reduced else None)
+            spare = (np.empty_like(x), np.empty_like(x))
+        # the step writes into spare[0] and the old x becomes the next spare,
+        # so no edge-sized array is allocated per step
+        x, spare = _step(x, inflow, src, inv if reduced else None, spare), (x, spare[1])
         inflow = _inflow(x, dst, nv)
         yield inflow
 
@@ -422,13 +452,10 @@ def add_half_loops_to_regularize(g: SerreGraph, d: int) -> SerreGraph:
     degs = g.degrees
     if degs and max(degs) > d:
         raise ValueError(f"max degree {max(degs)} exceeds target {d}")
-    src, dst, inv = list(g.src), list(g.dst), list(g.inv)
-    for v in range(g.nv):
-        for _ in range(d - degs[v]):
-            e = len(src)
-            src.append(v)
-            dst.append(v)
-            inv.append(e)
+    # the added half-loops take ids ne, ne+1, ... in vertex order
+    loops = np.repeat(np.arange(g.nv), d - np.array(degs, dtype=np.int64))
+    src, dst, inv = (np.concatenate([a, b]) for a, b in
+                     zip(g._arrays, (loops, loops, np.arange(g.ne, g.ne + loops.size))))
     return SerreGraph(g.nv, src, dst, inv, name=g.name)
 
 
@@ -439,11 +466,8 @@ def split_full_loops(g: SerreGraph) -> SerreGraph:
     never applied implicitly because cycle classification distinguishes the
     two loop kinds.
     """
-    inv = list(g.inv)
-    for e in range(g.ne):
-        if g.src[e] == g.dst[e] and g.inv[e] != e:
-            inv[e] = e
-    return SerreGraph(g.nv, g.src, g.dst, inv, name=g.name)
+    src, dst, inv = g._arrays
+    return SerreGraph(g.nv, src, dst, np.where(src == dst, np.arange(g.ne), inv), name=g.name)
 
 
 def tree_m_ball(g: SerreGraph, m: int, root: int, r: int) -> Ball:
@@ -543,13 +567,9 @@ def cayley_graph(gens, name=None) -> SerreGraph:
             raise ValueError("identity is not allowed as a generator")
     pair = _involution_pairing(gens)
     k = len(gens)
-    src, dst, inv = [], [], []
-    for x in range(n):
-        for i in range(k):
-            src.append(x)
-            dst.append(gens[i][x])
-            inv.append(gens[i][x] * k + pair[i])
-    return SerreGraph(n, src, dst, inv, name=name or "Cayley")
+    to = np.array(gens, dtype=np.int64).T  # edge x*k + i runs from x to gens[i][x]
+    return SerreGraph(n, np.repeat(np.arange(n), k), to.ravel(), (to * k + pair).ravel(),
+                      name=name or "Cayley")
 
 
 @dataclass
@@ -605,14 +625,10 @@ def schreier_quotient(gens, s_index: int) -> SchreierResult:
                 coset_of[Rx[h]] = cid
     nq = len(reps)
     k = len(gens)
-    src, dst, inv = [], [], []
-    for c in range(nq):
-        x = reps[c]
-        for i in range(k):
-            src.append(c)
-            dst.append(coset_of[gens[i][x]])
-            inv.append(coset_of[gens[i][x]] * k + pair[i])
-    quotient = SerreGraph(nq, src, dst, inv, name="Schreier")
+    # edge c*k + i runs from coset c to the coset of gens[i][reps[c]]
+    to = np.array(coset_of)[np.array(gens, dtype=np.int64).T[reps]]
+    quotient = SerreGraph(nq, np.repeat(np.arange(nq), k), to.ravel(), (to * k + pair).ravel(),
+                          name="Schreier")
     cay = cayley_graph(gens, name="Cayley")
 
     # covering verification: the edge map (x, i) -> (coset(x), i) must

@@ -72,15 +72,11 @@ def configuration_model(d: int, n: int, seed: int = 0) -> SerreGraph:
     if (d * n) % 2:
         raise ValueError("d*n must be even")
     rng = np.random.default_rng(seed)
-    half = rng.permutation(d * n)
-    src = [0] * (d * n)
-    dst = [0] * (d * n)
-    inv = [0] * (d * n)
-    for j in range(0, d * n, 2):
-        u = int(half[j]) // d
-        v = int(half[j + 1]) // d
-        src[j], dst[j], inv[j] = u, v, j + 1
-        src[j + 1], dst[j + 1], inv[j + 1] = v, u, j
+    # half-edges 2j and 2j+1 of the permutation are matched: edge 2j runs
+    # from the vertex of the first to that of the second, 2j+1 back
+    src = rng.permutation(d * n) // d
+    dst = src.reshape(-1, 2)[:, ::-1].ravel()
+    inv = np.arange(d * n) ^ 1
     return SerreGraph(n, src, dst, inv, name=f"cfg(d={d},n={n},seed={seed})")
 
 

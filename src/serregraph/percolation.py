@@ -1,12 +1,14 @@
 """Supercritical site percolation windows and cover sphere growth.
 
 A window draws one seeded open mask, cuts out the connected cluster of the
-central origin, and hands it over as a SerreGraph. The cluster's universal
-cover has sphere sizes equal to non-backtracking path counts from the root,
-counted exactly by the edge-indexed walk kernel of core; regularizing the
-cluster to degree 4 with half-loops would not change them, since half-loops
-do not move in the cover. The tail of |S_n|^(1/n) is the finite stand-in
-for the lower growth of the infinite cluster's cover.
+central origin, and hands it over as a SerreGraph whose vertices are
+numbered in BFS discovery order (a frontier-array BFS builds it level by
+level). The cluster's universal cover has sphere sizes equal to
+non-backtracking path counts from the root, counted exactly by the
+edge-indexed walk kernel of core; regularizing the cluster to degree 4 with
+half-loops would not change them, since half-loops do not move in the
+cover. The tail of |S_n|^(1/n) is the finite stand-in for the lower growth
+of the infinite cluster's cover.
 
 Finite windows clip the infinite cluster. Counts at radius n are unbiased
 only while the metric ball stays off the window border, so every growth
@@ -17,7 +19,6 @@ and clean radii.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,44 +94,41 @@ def percolate(width: int, height: int, p: float, seed) -> PercolationWindow:
         empty = SerreGraph(0, (), (), (), name=f"percolation-cluster p={p}")
         return PercolationWindow(width, height, p, seed, mask, empty, -1, (), None)
 
-    index = np.full((width, height), -1, dtype=np.int64)
-    coords: list[tuple[int, int]] = []
-    dist: list[int] = []
-    index[ox, oy] = 0
-    coords.append((ox, oy))
-    dist.append(0)
-    queue = deque([(ox, oy)])
-    while queue:
-        x, y = queue.popleft()
-        dxy = dist[index[x, y]] + 1
-        for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-            if 0 <= nx < width and 0 <= ny < height and mask[nx, ny] and index[nx, ny] < 0:
-                index[nx, ny] = len(coords)
-                coords.append((nx, ny))
-                dist.append(dxy)
-                queue.append((nx, ny))
+    # frontier-array BFS on the mask padded with closed cells and flattened:
+    # (x, y) is i = (x+1)*h + y+1; (x-1,y), (x+1,y), (x,y-1), (x,y+1) are i-h, i+h, i-1, i+1
+    h = height + 2
+    is_open = np.pad(mask, 1).ravel()
+    index = np.full(is_open.size, -1, dtype=np.int64)
+    frontier = np.array([(ox + 1) * h + oy + 1])
+    levels, nv = [], 0
+    while frontier.size:
+        index[frontier] = np.arange(nv, nv + frontier.size)
+        nv += frontier.size
+        levels.append(frontier)
+        near = (frontier[:, None] + np.array([-h, h, -1, 1])).ravel()
+        near = near[is_open[near] & (index[near] < 0)]
+        # a FIFO queue discovers the new cells in the order of their first
+        # proposal, which fixes the vertex ids
+        _, first = np.unique(near, return_index=True)
+        frontier = near[np.sort(first)]
+    cells = np.concatenate(levels)
+    dist = np.repeat(np.arange(len(levels)), [f.size for f in levels])
+    x, y = cells // h - 1, cells % h - 1
 
-    src: list[int] = []
-    dst: list[int] = []
-    inv: list[int] = []
-    for v, (x, y) in enumerate(coords):
-        for nx, ny in ((x + 1, y), (x, y + 1)):  # each lattice edge once
-            if nx < width and ny < height and index[nx, ny] >= 0:
-                w = int(index[nx, ny])
-                e = len(src)
-                src += [v, w]
-                dst += [w, v]
-                inv += [e + 1, e]
-    cluster = SerreGraph(len(coords), src, dst, inv, name=f"percolation-cluster p={p}")
+    # each lattice edge once, from (x, y) to (x+1, y) and then to (x, y+1)
+    ends = index[cells[:, None] + np.array([h, 1])]
+    has = ends >= 0
+    u = np.repeat(np.arange(nv), 2)[has.ravel()]
+    w = ends[has]
+    src = np.stack([u, w], axis=1).ravel()
+    dst = np.stack([w, u], axis=1).ravel()
+    inv = np.arange(src.size) ^ 1
+    cluster = SerreGraph(nv, src, dst, inv, name=f"percolation-cluster p={p}")
 
-    border = None
-    for v, (x, y) in enumerate(coords):
-        if x in (0, width - 1) or y in (0, height - 1):
-            if border is None or dist[v] < border:
-                border = dist[v]
-    return PercolationWindow(
-        width, height, p, seed, mask, cluster, 0, tuple(coords), border
-    )
+    on_border = (x == 0) | (x == width - 1) | (y == 0) | (y == height - 1)
+    border = int(dist[on_border].min()) if on_border.any() else None
+    coords = tuple(zip(x.tolist(), y.tolist()))
+    return PercolationWindow(width, height, p, seed, mask, cluster, 0, coords, border)
 
 
 def cover_sphere_sizes(g: SerreGraph, root: int, nmax: int) -> list[int]:

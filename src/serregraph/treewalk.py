@@ -381,6 +381,9 @@ def infinite_bridge_ratio(d: int, dist: int) -> Fraction:
     return Fraction(num, den)
 
 
+_BRIDGE_ROWS: dict[tuple[int, int], np.ndarray] = {}  # (d, m) -> read-only DP row
+
+
 def finite_bridge_ratio(d: int, dist: int, m: int) -> float:
     """p_m(x_plus, o) / p_m(x_minus, o) with |x_plus| = dist+1, |x_minus| = dist-1.
 
@@ -392,7 +395,9 @@ def finite_bridge_ratio(d: int, dist: int, m: int) -> float:
 
     Exact rational (converted to float) when tables of size m are affordable;
     above 2048 a normalized float64 DP is used (accumulated relative error
-    about m * 1e-16, far below any tolerance used on it).
+    about m * 1e-16, far below any tolerance used on it). Its row at m serves
+    every dist of one parity, and a memo of at most 64 rows keeps a run's
+    rows at m-7..m: bridge_ratio_convergence asks for m = n-dist-1.
     """
     if dist < 1:
         raise ValueError("dist must be >= 1")
@@ -404,17 +409,24 @@ def finite_bridge_ratio(d: int, dist: int, m: int) -> float:
         if den == 0:
             raise ZeroDivisionError("unreachable configuration")
         return num / den
-    # normalized vector DP: row[x] proportional to u[m][x]
-    width = m + 2
-    row = np.zeros(width)
-    row[0] = 1.0
-    for _ in range(m):
-        nxt = np.empty_like(row)
-        nxt[0] = d * row[1]
-        nxt[1:-1] = row[:-2] + (d - 1) * row[2:]
-        nxt[-1] = row[-2]
-        nxt /= nxt.max()
-        row = nxt
+    if (d, m) not in _BRIDGE_ROWS:
+        # row[x] proportional to u[j][x]; after j steps every entry past j
+        # is 0, so the first j+2 entries are bit for bit the row of a run to j
+        if len(_BRIDGE_ROWS) >= 64:
+            _BRIDGE_ROWS.clear()
+        row = np.zeros(m + 2)
+        row[0] = 1.0
+        for j in range(1, m + 1):
+            nxt = np.empty_like(row)
+            nxt[0] = d * row[1]
+            nxt[1:-1] = row[:-2] + (d - 1) * row[2:]
+            nxt[-1] = row[-2]
+            nxt /= nxt.max()
+            row = nxt
+            if j > m - 8:
+                _BRIDGE_ROWS[d, j] = row[: j + 2]
+                _BRIDGE_ROWS[d, j].flags.writeable = False
+    row = _BRIDGE_ROWS[d, m]
     return row[dist + 1] / row[dist - 1]
 
 

@@ -128,6 +128,25 @@ def test_mean_log_return_routes_agree():
     assert math.isclose(via_batch, via_bigint, rel_tol=0, abs_tol=1e-12)
 
 
+def test_closed_walk_counts_read_only_the_last_row():
+    # uint64 rows and Python-int rows (3^nk past 2^64 from nk = 41) alike
+    for g in (petersen(), configuration_model(3, 64, seed=3), configuration_model(4, 36, seed=1)):
+        for o in (0, g.nv // 2, g.nv - 1):
+            for nk in (0, 2, 8, 40, 42, 60):
+                got = bounds._closed_walks(g, o, nk)
+                assert type(got) is int and got == walk_counts(g, o, nk)[nk][o]
+
+
+def test_mean_log_return_fallback_and_chi_lower_use_exact_counts():
+    g = configuration_model(3, 64, seed=0)
+    nk = 40  # 3^40 >= 2^53: past the matrix-power chain, so the per-root fallback runs
+    assert bounds.return_diagonals(g, (nk,)) == {}
+    diag = [walk_counts(g, o, nk)[nk][o] for o in range(g.nv)]
+    assert bounds.mean_log_return(g, nk) == bounds.mean_log_return(g, nk, diag_counts=diag)
+    rep = bounds.thm_43_lower(g, 5, 3, 2, samples=200, seed=1)
+    assert rep.lhs == float(walk_counts(g, 5, 6)[6][5])
+
+
 def test_mean_log_return_rejects_odd():
     with pytest.raises(ValueError):
         bounds.mean_log_return(petersen(), 7)

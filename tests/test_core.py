@@ -1,9 +1,13 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from serregraph import core
 from serregraph.core import (
     SerreGraph,
     Walk,
+    _edge_arrays,
     add_half_loops_to_regularize,
     adjacency,
     ball,
@@ -269,3 +273,189 @@ def test_schreier_requires_generating_set():
     p3 = tuple((i + 3) % 6 for i in range(6))
     with pytest.raises(ValueError):
         schreier_quotient([p3], 0)
+
+
+# -- the array-built constructor ----------------------------------------------
+
+
+def _first_bad_edge(nv, src, dst, inv):
+    """The per-edge scan the constructor's vectorized checks replace."""
+    for e in range(len(src)):
+        if not (0 <= src[e] < nv and 0 <= dst[e] < nv):
+            return f"edge {e} endpoint out of range"
+        if not 0 <= inv[e] < len(src):
+            return f"edge {e} involution id out of range"
+    return None
+
+
+def test_first_bad_edge_messages_match_a_per_edge_scan():
+    base = disjoint_union(petersen(), prism(5))
+    nv, ne = base.nv, base.ne
+    bads = [("src", -1), ("dst", nv), ("inv", ne), ("inv", -3), ("src", nv + 7)]
+    for positions in ([0], [ne - 1], [3, 17], [29, 4, 11], [12, 12], list(range(0, ne, 7))):
+        for shift in range(len(bads)):
+            arrays = {"src": list(base.src), "dst": list(base.dst), "inv": list(base.inv)}
+            for j, e in enumerate(positions):
+                field, value = bads[(j + shift) % len(bads)]
+                arrays[field][e] = value
+            want = _first_bad_edge(nv, arrays["src"], arrays["dst"], arrays["inv"])
+            with pytest.raises(ValueError) as exc:
+                SerreGraph(nv, **arrays)
+            assert str(exc.value) == want, (positions, shift)
+
+
+def test_endpoint_message_takes_precedence_at_one_edge():
+    with pytest.raises(ValueError, match=r"^edge 1 endpoint out of range$"):
+        SerreGraph(2, src=[0, 5, 0], dst=[1, 0, 1], inv=[1, 9, 2])
+
+
+def test_integers_past_int64_are_out_of_range():
+    for big in (2 ** 63, 2 ** 64, 2 ** 70, -(2 ** 63) - 1, -(2 ** 70)):
+        with pytest.raises(ValueError, match=r"^edge 1 endpoint out of range$"):
+            SerreGraph(2, src=[0, big], dst=[1, 0], inv=[1, 0])
+        with pytest.raises(ValueError, match=r"^edge 0 involution id out of range$"):
+            SerreGraph(2, src=[0, 1], dst=[1, 0], inv=[big, 0])
+    # a huge value at a later edge does not hide an earlier bad one
+    with pytest.raises(ValueError, match=r"^edge 0 involution id out of range$"):
+        SerreGraph(2, src=[0, 1], dst=[1, 2 ** 70], inv=[5, 0])
+
+
+def test_non_integer_entries_are_rejected():
+    for bad in (0.5, 1.0, "0", None):
+        with pytest.raises(ValueError, match=r"^edge 1 endpoint is not an integer$"):
+            SerreGraph(2, src=[0, bad], dst=[1, 0], inv=[1, 0])
+        with pytest.raises(ValueError, match=r"^edge 1 involution id is not an integer$"):
+            SerreGraph(2, src=[0, 1], dst=[1, 0], inv=[1, bad])
+    with pytest.raises(ValueError, match="not an integer"):
+        SerreGraph(2, src=np.array([0.0, 1.0]), dst=[1, 0], inv=[1, 0])
+    with pytest.raises(ValueError):  # ragged entries
+        SerreGraph(2, src=[0, [1]], dst=[1, 0], inv=[1, 0])
+
+
+def test_empty_graph_and_other_integer_inputs_build():
+    g = SerreGraph(0, (), (), ())
+    assert (g.nv, g.ne, g.degrees) == (0, 0, ())
+    assert all(a.dtype == np.int64 and a.size == 0 for a in _edge_arrays(g))
+    lone = SerreGraph(3, [], [], [])
+    assert lone.degrees == (0, 0, 0) and lone.out_edges(2) == ()
+    # numpy integers, unsigned arrays and generators are accepted as before
+    a = SerreGraph(2, np.array([0, 1], dtype=np.uint8), (x for x in (1, 0)),
+                   [np.int64(1), 0])
+    assert (a.src, a.dst, a.inv) == ((0, 1), (1, 0), (1, 0))
+
+
+def test_public_edge_tuples_hold_python_ints():
+    src = np.array([0, 1, 1, 2])
+    g = SerreGraph(3, src, np.array([1, 0, 2, 1]), np.array([1, 0, 3, 2]))
+    for t in (g.src, g.dst, g.inv, g.degrees):
+        assert type(t) is tuple and all(type(x) is int for x in t)
+    # the graph keeps its own copy: the caller's array stays writeable and
+    # changing it later does not reach the graph
+    src[0] = 2
+    assert g.src[0] == 0 and _edge_arrays(g)[0][0] == 0
+
+
+def test_edge_arrays_are_kept_and_read_only():
+    g = petersen()
+    first = _edge_arrays(g)
+    assert all(a is b for a, b in zip(first, _edge_arrays(g)))
+    for a, t in zip(first, (g.src, g.dst, g.inv)):
+        assert a.dtype == np.int64 and a.tolist() == list(t)
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_out_edges_and_degrees_match_a_scan_of_src():
+    graphs = [petersen(), rose(2), half_loop_rose(3), prism(6),
+              disjoint_union(cycle_graph(4), complete_graph(5)),
+              SerreGraph(4, [3, 0, 3, 1, 0, 3], [3, 1, 0, 0, 3, 3], [0, 3, 4, 1, 2, 5])]
+    for g in graphs:
+        for v in range(g.nv):
+            want = tuple(e for e in range(g.ne) if g.src[e] == v)
+            assert g.out_edges(v) == want
+            assert g.degree(v) == len(want) == g.degrees[v]
+
+
+def _loop_helpers(g, h, d):
+    """The per-edge loops that adjacency, disjoint_union,
+    add_half_loops_to_regularize and split_full_loops replace by array builds."""
+    A = np.zeros((g.nv, g.nv), dtype=np.int64)
+    for e in range(g.ne):
+        A[g.src[e], g.dst[e]] += 1
+    union = (list(g.src) + [v + g.nv for v in h.src], list(g.dst) + [v + g.nv for v in h.dst],
+             list(g.inv) + [e + g.ne for e in h.inv])
+    src, dst, inv = list(g.src), list(g.dst), list(g.inv)
+    for v in range(g.nv):
+        for _ in range(d - g.degree(v)):
+            e = len(src)
+            src.append(v)
+            dst.append(v)
+            inv.append(e)
+    split = list(g.inv)
+    for e in range(g.ne):
+        if g.src[e] == g.dst[e] and g.inv[e] != e:
+            split[e] = e
+    return A, tuple(map(tuple, union)), (tuple(src), tuple(dst), tuple(inv)), tuple(split)
+
+
+def test_array_built_helpers_match_their_loops():
+    odd = SerreGraph(4, [3, 0, 3, 1, 0, 3, 2, 2], [3, 1, 0, 0, 3, 3, 2, 2], [0, 3, 4, 1, 2, 5, 7, 6])
+    graphs = [petersen(), rose(2), half_loop_rose(3), cycle_graph(5), odd,
+              SerreGraph(3, [], [], []), SerreGraph(0, (), (), ())]
+    for g in graphs:
+        for h in (complete_graph(4), odd, SerreGraph(0, (), (), ())):
+            d = max(g.degrees, default=0) + 2
+            A, union, regular, split = _loop_helpers(g, h, d)
+            assert (adjacency(g) == A).all()
+            u = disjoint_union(g, h)
+            assert (u.nv, (u.src, u.dst, u.inv)) == (g.nv + h.nv, union)
+            r = add_half_loops_to_regularize(g, d)
+            assert (r.src, r.dst, r.inv) == regular
+            s = split_full_loops(g)
+            assert (s.src, s.dst, s.inv) == (g.src, g.dst, split)
+
+
+def _cayley_loop(gens):
+    """The per-edge loop that cayley_graph's array build replaces."""
+    n, k = len(gens[0]), len(gens)
+    pair = core._involution_pairing(gens)
+    src, dst, inv = [], [], []
+    for x in range(n):
+        for i in range(k):
+            src.append(x)
+            dst.append(gens[i][x])
+            inv.append(gens[i][x] * k + pair[i])
+    return tuple(src), tuple(dst), tuple(inv)
+
+
+def _schreier_loop(gens, s_index, res):
+    """The per-edge loop that schreier_quotient's array build replaces."""
+    k, coset_of = len(gens), res.coset_of
+    pair = core._involution_pairing(gens)
+    reps = [coset_of.index(c) for c in range(res.graph.nv)]
+    src, dst, inv = [], [], []
+    for c, x in enumerate(reps):
+        for i in range(k):
+            src.append(c)
+            dst.append(coset_of[gens[i][x]])
+            inv.append(coset_of[gens[i][x]] * k + pair[i])
+    return tuple(src), tuple(dst), tuple(inv)
+
+
+def test_cayley_and_schreier_match_their_loops():
+    s3 = list(itertools.permutations(range(3)))
+    idx = {p: i for i, p in enumerate(s3)}
+
+    def right(t):  # right multiplication by t on S3, as a permutation of 0..5
+        return tuple(idx[tuple(x[t[j]] for j in range(3))] for x in s3)
+
+    p6 = [tuple((i + a) % 6 for i in range(6)) for a in (1, 5, 2, 4, 3)]
+    sets = [[right((1, 0, 2)), right((0, 2, 1))], [right((1, 0, 2)), right((1, 2, 0)), right((2, 0, 1))],
+            p6, p6[:2] + [p6[4]], p6[:2] + [p6[4]] * 2]
+    for gens in sets:
+        g = cayley_graph(gens)
+        assert (g.src, g.dst, g.inv) == _cayley_loop(gens)
+        for s_index in range(len(gens)):
+            res = schreier_quotient(gens, s_index)
+            q = res.graph
+            assert (q.src, q.dst, q.inv) == _schreier_loop(gens, s_index, res)

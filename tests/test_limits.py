@@ -38,6 +38,25 @@ def test_configuration_model_regular_and_deterministic():
     assert (g1.src, g1.dst) != (g3.src, g3.dst)
 
 
+def _configuration_model_loop(d, n, seed):
+    """The per-pair loop that configuration_model's array build replaces."""
+    half = np.random.default_rng(seed).permutation(d * n)
+    src, dst, inv = [0] * (d * n), [0] * (d * n), [0] * (d * n)
+    for j in range(0, d * n, 2):
+        u, v = int(half[j]) // d, int(half[j + 1]) // d
+        src[j], dst[j], inv[j] = u, v, j + 1
+        src[j + 1], dst[j + 1], inv[j + 1] = v, u, j
+    return tuple(src), tuple(dst), tuple(inv)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 64), (3, 2), (3, 64), (3, 1000), (4, 1), (4, 9), (4, 333)])
+def test_configuration_model_matches_the_pair_loop(d, n):
+    for seed in (0, 1, 7, 12345):
+        g = limits.configuration_model(d, n, seed=seed)
+        assert (g.src, g.dst, g.inv) == _configuration_model_loop(d, n, seed), seed
+        assert g.degrees == (d,) * n
+
+
 def test_configuration_model_parity_error():
     with pytest.raises(ValueError):
         limits.configuration_model(3, 5, seed=0)

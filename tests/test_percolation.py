@@ -1,7 +1,9 @@
 """Window percolation, cover sphere counts, and the growth estimate."""
 
 import math
+from collections import Counter, deque
 
+import numpy as np
 import pytest
 
 from serregraph.core import add_half_loops_to_regularize, complete_graph, half_loop_rose, tree_ball
@@ -32,7 +34,79 @@ def _brute_sphere_sizes(g, root, nmax):
     return sizes
 
 
+def _reference_window(width, height, p, seed):
+    """The deque BFS and per-edge loop that percolate's array BFS replaces:
+    (mask, coords, src, dst, inv, border distance), or None for a closed
+    origin."""
+    mask = np.random.Generator(np.random.PCG64(seed)).random((width, height)) < p
+    ox, oy = width // 2, height // 2
+    if not mask[ox, oy]:
+        return mask, None
+    index = {(ox, oy): 0}
+    coords, dist = [(ox, oy)], [0]
+    queue = deque([(ox, oy)])
+    while queue:
+        x, y = queue.popleft()
+        for nb in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+            if 0 <= nb[0] < width and 0 <= nb[1] < height and mask[nb] and nb not in index:
+                index[nb] = len(coords)
+                coords.append(nb)
+                dist.append(dist[index[(x, y)]] + 1)
+                queue.append(nb)
+    src, dst, inv = [], [], []
+    for v, (x, y) in enumerate(coords):
+        for nb in ((x + 1, y), (x, y + 1)):
+            if nb in index:
+                e = len(src)
+                src += [v, index[nb]]
+                dst += [index[nb], v]
+                inv += [e + 1, e]
+    border = [d for (x, y), d in zip(coords, dist) if x in (0, width - 1) or y in (0, height - 1)]
+    return mask, (tuple(coords), tuple(src), tuple(dst), tuple(inv), min(border, default=None))
+
+
 # -- windows ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "width,height,p,seed",
+    [
+        (1, 1, 1.0, 0),  # one open cell, on the border
+        (1, 1, 0.0, 0),  # closed origin
+        (1, 40, 0.95, 2),
+        (40, 1, 0.95, 3),
+        (1, 40, 1.0, 0),
+        (40, 1, 1.0, 0),
+        (9, 7, 0.0, 4),  # p = 0
+        (9, 7, 1.0, 4),  # p = 1
+        (15, 15, 0.2, 1),  # closed origin at low p
+        (25, 25, 0.5, 8),  # small interior cluster
+        (30, 20, 0.8, 6),  # cluster reaching the border
+        (300, 300, 0.9, 5),
+    ],
+)
+def test_window_matches_the_deque_bfs(width, height, p, seed):
+    mask, ref = _reference_window(width, height, p, seed)
+    w = percolate(width, height, p, seed)
+    assert (w.open_mask == mask).all()
+    if ref is None:
+        assert w.cluster_root == -1 and w.cluster.nv == 0 and w.border_distance is None
+        return
+    coords, src, dst, inv, border = ref
+    g = w.cluster
+    assert w.coords == coords
+    assert (g.src, g.dst, g.inv) == (src, dst, inv)
+    counts = Counter(src)
+    assert g.degrees == tuple(counts[v] for v in range(len(coords)))
+    assert w.border_distance == border
+
+
+def test_reference_cases_cover_closed_origins_and_borders():
+    # the parametrized cases above include a closed origin at p > 0, an
+    # interior cluster and clusters that reach the border
+    assert _reference_window(15, 15, 0.2, 1)[1] is None
+    assert _reference_window(25, 25, 0.5, 8)[1][4] is None
+    assert _reference_window(30, 20, 0.8, 6)[1][4] is not None
 
 
 def test_full_window_at_p_one():

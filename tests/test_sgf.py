@@ -67,3 +67,10 @@ def test_loader_rejects_involution_violation():
     with pytest.raises(sgf.SGFError) as exc:
         sgf.loads(text)
     assert "involution" in str(exc.value)
+
+
+@pytest.mark.parametrize("field", [2 ** 70, 2 ** 63, -(2 ** 70)])
+def test_loader_edge_field_past_int64_is_out_of_range(field):
+    for text in (f"sgf 1 1 1\ne 0 0 {field} 0\n", f"sgf 1 1 1\ne 0 0 0 {field}\n"):
+        with pytest.raises(sgf.SGFError, match="edge 0 .*out of range"):
+            sgf.loads(text)

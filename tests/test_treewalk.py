@@ -9,6 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,6 +225,42 @@ def test_bridge_visits_match_enumeration(d, n):
     for k in range(n // 2 + 1):
         want = sum((h.get(k, Fraction(0)) for h in hists), Fraction(0))
         assert tw.bridge_visit_expectation(d, k, n) == want
+
+
+def _bridge_row_dp(d, m):
+    """The normalized float DP finite_bridge_ratio ran on every call."""
+    row = np.zeros(m + 2)
+    row[0] = 1.0
+    for _ in range(m):
+        nxt = np.empty_like(row)
+        nxt[0] = d * row[1]
+        nxt[1:-1] = row[:-2] + (d - 1) * row[2:]
+        nxt[-1] = row[-2]
+        nxt /= nxt.max()
+        row = nxt
+    return row
+
+
+def test_memoized_bridge_rows_equal_a_fresh_dp():
+    tw._BRIDGE_ROWS.clear()
+    for d, m in ((3, 2060), (4, 2057)):
+        # one run at m leaves the rows of m-7..m in the memo
+        want = {x: tw.finite_bridge_ratio(d, x, m) for x in range(1 + m % 2, 40, 2)}
+        assert {(d, j) for j in range(m - 7, m + 1)} <= set(tw._BRIDGE_ROWS)
+        for j in range(m - 7, m + 1):
+            fresh = _bridge_row_dp(d, j)
+            row = tw._BRIDGE_ROWS[d, j]
+            assert row.shape == fresh.shape and (row == fresh).all(), (d, j)
+            with pytest.raises(ValueError):
+                row[0] = 2.0
+            for x in range(1 + j % 2, 40, 2):
+                assert tw.finite_bridge_ratio(d, x, j) == fresh[x + 1] / fresh[x - 1]
+            assert tw._BRIDGE_ROWS[d, j] is row  # served from the memo
+        assert all(tw.finite_bridge_ratio(d, x, m) == r for x, r in want.items())
+    # the memo stays bounded
+    for m in range(2100, 2100 + 2 * 9 * 8, 8):
+        tw.finite_bridge_ratio(3, 1, m)
+    assert len(tw._BRIDGE_ROWS) <= 64
 
 
 def test_bridge_visit_bounds_hold_midscale():
