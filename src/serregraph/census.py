@@ -12,6 +12,9 @@ enter lies within floor(k/2) of its root, since a walk that has taken s
 steps is at most s from the root and must get back in the k - s left. So
 the distance map each root's DFS prunes with is a BFS capped at that radius,
 and the degree budget is checked once per census rather than once per root.
+A root with tree radius t(v) >= floor(k/2) (core.tree_radius) counts 0 with
+no DFS: its closed k-walks stay in a tree ball, where they are balanced. The
+essential-girth profile is the histogram of t: its count at r is #{v : t(v) >= r}.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, ball, distances_from, is_tree, validate
+from .core import SerreGraph, distances_from, tree_radius, validate
 
 ENUM_BUDGET = 10 ** 8
 
@@ -137,7 +140,8 @@ class CycleCensus:
 
 def cycle_census(g: SerreGraph, k: int, budget: int = ENUM_BUDGET) -> CycleCensus:
     _check_budget(g, k, budget)
-    per = tuple(_count_closed_nontrivial(g, v, k) for v in range(g.nv))
+    per = tuple(0 if tree_radius(g, v, k // 2) == k // 2 else _count_closed_nontrivial(g, v, k)
+                for v in range(g.nv))
     total = sum(per)
     density = Fraction(total, g.nv)
     return CycleCensus(k=k, per_vertex=per, total=total, density=density, mean=density)
@@ -180,12 +184,8 @@ def essential_girth_beta(d: int) -> float:
 def essential_girth_profile(g: SerreGraph, rmax: int) -> EssentialGirthProfile:
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
-    counts = [0] * rmax
-    for v in range(g.nv):
-        for r in range(1, rmax + 1):
-            if not is_tree(ball(g, v, r).graph):
-                break
-            counts[r - 1] += 1
+    t = [tree_radius(g, v, rmax) for v in range(g.nv)]
+    counts = [sum(x >= r for x in t) for r in range(1, rmax + 1)]
     fracs = tuple(Fraction(c, g.nv) for c in counts)
     d = validate(g).regular_degree
     beta = threshold = None

@@ -87,9 +87,6 @@ class SerreGraph:
     def degrees(self):
         return self._deg
 
-    def is_half_loop(self, e):
-        return self.inv[e] == e
-
     def half_loop_count(self, v):
         return sum(1 for e in self.out_edges(v) if self.inv[e] == e)
 
@@ -144,13 +141,15 @@ class ValidationReport:
 
 def validate(g: SerreGraph) -> ValidationReport:
     """Check the involution axioms and report the degree structure."""
+    src, dst, inv = g._arrays
+    bad_inv = inv[inv] != np.arange(g.ne)
+    bad_swap = (src[inv] != dst) | (dst[inv] != src)
     problems = []
-    for e in range(g.ne):
-        f = g.inv[e]
-        if g.inv[f] != e:
-            problems.append(f"edge {e}: inv(inv) = {g.inv[f]} != {e}")
-        if g.src[f] != g.dst[e] or g.dst[f] != g.src[e]:
-            problems.append(f"edge {e}: inverse {f} does not swap endpoints")
+    for e in np.flatnonzero(bad_inv | bad_swap).tolist():
+        if bad_inv[e]:
+            problems.append(f"edge {e}: inv(inv) = {g.inv[g.inv[e]]} != {e}")
+        if bad_swap[e]:
+            problems.append(f"edge {e}: inverse {g.inv[e]} does not swap endpoints")
     degs = g.degrees
     regular = degs[0] if g.nv and all(x == degs[0] for x in degs) else None
     return ValidationReport(ok=not problems, regular_degree=regular,
@@ -371,9 +370,7 @@ def _walk_inflows(nv: int, edges, o: int, nmax: int, reduced: bool):
 
 
 def is_connected(g: SerreGraph) -> bool:
-    if g.nv == 0:
-        return True
-    return len(distances_from(g, 0)) == g.nv
+    return g.nv == 0 or len(distances_from(g, 0)) == g.nv
 
 
 def connected_components(g: SerreGraph) -> list[list[int]]:
@@ -388,13 +385,32 @@ def connected_components(g: SerreGraph) -> list[list[int]]:
     return comps
 
 
+def tree_radius(g: SerreGraph, v: int, rmax: int) -> int:
+    """t(v): the largest r <= rmax whose ball at v is a tree, -1 if v has a loop.
+    A BFS capped at rmax keeps each vertex's edge back to its parent; any other
+    edge between reached vertices closes a cycle in the ball of radius max(dist
+    of its ends), and t(v) is the least such radius minus 1."""
+    if rmax < 0:
+        raise ValueError("radius must be >= 0")
+    seen = {v: (0, -1)}  # vertex -> (distance, edge back to its parent)
+    cut, q = rmax + 1, deque([v])
+    while q and seen[q[0]][0] < cut:
+        u = q.popleft()
+        du, back = seen[u]
+        for e in g.out_edges(u):
+            w = g.dst[e]
+            if w in seen:
+                if e != back:
+                    cut = min(cut, max(du, seen[w][0]))
+            elif du < rmax:
+                seen[w] = (du + 1, g.inv[e])
+                q.append(w)
+    return cut - 1
+
+
 def is_tree(g: SerreGraph) -> bool:
     """Connected, loop-free (both kinds), and exactly nv-1 undirected edges."""
-    if any(g.inv[e] == e for e in range(g.ne)):
-        return False
-    if any(g.src[e] == g.dst[e] for e in range(g.ne)):
-        return False
-    return is_connected(g) and g.ne == 2 * (g.nv - 1)
+    return g.nv > 0 and is_connected(g) and tree_radius(g, 0, g.nv) == g.nv
 
 
 def induced_subgraph(g: SerreGraph, vertices) -> tuple[SerreGraph, list[int]]:

@@ -5,6 +5,8 @@ cycle densities, pattern histograms concentrating on the tree pattern, and
 the eigenvalue distribution approaching the Kesten-McKay measure. The
 diagnostic report puts the three columns side by side; their joint monotone
 trend on growing random graphs is the finite shadow of the equivalence.
+tv_tree is 1 - #{v : t(v) >= r}/n (t from core.tree_radius): on a d-regular
+graph a ball has the tree pattern exactly when it is a tree. bs_histogram is its oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .census import cycle_census
-from .core import SerreGraph, from_edges, require_regular
+from .core import SerreGraph, from_edges, require_regular, tree_radius
 from .exact import rho_tree
 from .patterns import Pattern, pattern, tree_pattern
 from .spectral import markov_spectrum, weakly_ramanujan_mass
@@ -165,7 +167,7 @@ def ekvivalens_diagnostic(graphs, r: int, kmax: int, labels=None) -> list[Ekviva
     for g, label in zip(graphs, labels):
         d = require_regular(g)
         dens = tuple(cycle_census(g, k).density for k in range(1, kmax + 1))
-        tv = tree_pattern_tv(bs_histogram(g, r), d)
+        tv = 1 - Fraction(sum(tree_radius(g, v, r) == r for v in range(g.nv)), g.nv)
         summ = markov_spectrum(g)
         rows.append(
             EkvivalensRow(

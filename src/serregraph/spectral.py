@@ -29,6 +29,7 @@ from .core import (
     adjacency,
     connected_components,
     require_regular,
+    tree_radius,
 )
 from .exact import rho_tree
 from .report import BoundReport, Hypothesis, report
@@ -280,12 +281,7 @@ def _apply_b(g: SerreGraph, x: np.ndarray) -> np.ndarray:
 
 
 def has_cycle(g: SerreGraph) -> bool:
-    if any(g.inv[e] == e or g.src[e] == g.dst[e] for e in range(g.ne)):
-        return True
-    return any(
-        sum(g.degree(v) for v in comp) // 2 >= len(comp)
-        for comp in connected_components(g)
-    )
+    return any(tree_radius(g, c[0], g.nv) < g.nv for c in connected_components(g))
 
 
 def nonbacktracking_closed_counts(g: SerreGraph, o: int, nmax: int) -> list[int]:

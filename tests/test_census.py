@@ -13,6 +13,7 @@ from serregraph.core import (
     prism,
     rose,
     tree_ball,
+    tree_radius,
 )
 from serregraph.limits import configuration_model
 from serregraph.nullcycles import classify_cycle
@@ -190,3 +191,43 @@ def test_tree_balls_vs_gamma_cross_validation():
                 for v in range(g.nv):
                     for k in range(1, 2 * r + 1):
                         assert census.gamma_k(g, v, k) == 0
+
+
+def test_tree_root_skip_equals_the_unpruned_dfs():
+    """cycle_census counts 0 at roots whose radius-k//2 ball is a tree and runs
+    the DFS elsewhere; per root it must equal the DFS run everywhere, on
+    graphs with half-loops, full loops and multi-edges."""
+    from tests.test_core import tree_radius_fixtures
+
+    cases = skipped = 0
+    for g in tree_radius_fixtures() + DESK:
+        for k in range(1, 8):
+            if max(g.degrees, default=0) ** k > 10 ** 4:
+                continue
+            dfs = tuple(census._count_closed_nontrivial(g, v, k) for v in range(g.nv))
+            assert census.cycle_census(g, k).per_vertex == dfs, (g, k)
+            skipped += sum(tree_radius(g, v, k // 2) == k // 2 for v in range(g.nv))
+            cases += 1
+    assert cases > 300 and skipped > 1000
+
+
+def test_tree_root_skip_equals_unpruned_walks_on_small_graphs():
+    from serregraph.core import from_edges, split_full_loops
+
+    graphs = [from_edges(3, [(0, 1), (0, 1), (1, 2)], half_loops=[2]),
+              split_full_loops(configuration_model(3, 8, seed=2)),
+              configuration_model(3, 10, seed=5)]
+    for g in graphs:
+        for k in range(1, 7):
+            assert census.cycle_census(g, k).per_vertex == tuple(
+                walk_gamma(g, v, k) for v in range(g.nv)), (g, k)
+
+
+def test_girth_profile_is_the_tree_radius_histogram():
+    from tests.test_core import _tree_radius_by_balls, tree_radius_fixtures
+
+    for g in tree_radius_fixtures():
+        for rmax in (1, 3):
+            t = [_tree_radius_by_balls(g, v, rmax) for v in range(g.nv)]
+            want = tuple(Fraction(sum(x >= r for x in t), g.nv) for r in range(1, rmax + 1))
+            assert census.essential_girth_profile(g, rmax).fractions == want, (g, rmax)

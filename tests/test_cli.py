@@ -187,6 +187,24 @@ def test_bounds_girth_always_gated_small(k4_path, capsys):
     assert "floor(beta lnln|G|) >= 1" in out
 
 
+# frozen stdout: the tree-ball fraction and every other cell stay bit for bit
+GIRTH_CFG3_64 = (
+    "suite,k,name,verdict,lhs,rhs,margin,tolerance,failed_hypotheses,notes\n"
+    "girth,0,essential-girth beta=0.048090,not applicable,0.921875,0.06624377036409623,"
+    "0.8556312296359038,0.0,floor(beta lnln|G|) >= 1,"
+    "informational below radius 1: displayed fraction uses r=1\n"
+)
+
+
+def test_bounds_girth_output_is_pinned(tmp_path, capsys):
+    assert main(["fixtures", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = str(tmp_path / "cfg3-64-s0.sgf")
+    assert main(["bounds", "verify", "--in", path, "--suite", "girth"]) == 2
+    out = capsys.readouterr()
+    assert out.out == GIRTH_CFG3_64 and out.err == ""
+
+
 def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatch):
     import csv
     import io
@@ -318,6 +336,24 @@ def test_limits_fleet_csv(capsys):
     assert len(lines) == 5
     assert lines[1].startswith("cfg-d3-n16-s0,16,")
     assert lines[4].startswith("cfg-d3-n32-s1,32,")
+
+
+# frozen stdout, tv_tree and w1_km included
+FLEET_3_64_128 = (
+    "label,nv,tv_tree,w1_km,density_1,density_2,density_3\n"
+    "cfg-d3-n64-s0,64,0.28125,0.013647688081890891,0.0,0.0625,0.09375\n"
+    "cfg-d3-n64-s1,64,0.53125,0.035481733131961665,0.09375,0.21875,0.65625\n"
+    "cfg-d3-n128-s0,128,0.21875,0.010547325967019064,0.0,0.09375,0.0\n"
+    "cfg-d3-n128-s1,128,0.28125,0.012201483798510125,0.03125,0.0625,0.265625\n"
+)
+
+
+def test_limits_fleet_output_is_pinned(capsys):
+    args = ["limits", "fleet", "--d", "3", "--sizes", "64,128", "--seeds", "2",
+            "--r", "2", "--kmax", "3"]
+    assert main(args) == 0
+    out = capsys.readouterr()
+    assert out.out == FLEET_3_64_128 and out.err == ""
 
 
 # -- percolation -------------------------------------------------------------------

@@ -28,6 +28,7 @@ from serregraph.core import (
     split_full_loops,
     tree_ball,
     tree_m_ball,
+    tree_radius,
     triangle_tree_ball,
     validate,
 )
@@ -459,3 +460,113 @@ def test_cayley_and_schreier_match_their_loops():
             res = schreier_quotient(gens, s_index)
             q = res.graph
             assert (q.src, q.dst, q.inv) == _schreier_loop(gens, s_index, res)
+
+
+# -- tree radius -------------------------------------------------------------------
+
+
+def _is_tree_by_edge_count(g):
+    """The edge-scanning definition tree_radius replaces: connected, no loop
+    of either kind, and exactly nv-1 undirected edges."""
+    if any(g.inv[e] == e or g.src[e] == g.dst[e] for e in range(g.ne)):
+        return False
+    return g.nv > 0 and is_connected(g) and g.ne == 2 * (g.nv - 1)
+
+
+def _tree_radius_by_balls(g, v, rmax):
+    """The largest r <= rmax with every ball of radius <= r at v a tree."""
+    t = -1
+    for r in range(rmax + 1):
+        if not _is_tree_by_edge_count(ball(g, v, r).graph):
+            break
+        t = r
+    return t
+
+
+def tree_radius_fixtures():
+    from serregraph.limits import configuration_model
+
+    graphs = [complete_graph(4), petersen(), cycle_graph(3), cycle_graph(6), prism(5), rose(1),
+              rose(2), half_loop_rose(1), half_loop_rose(3), tree_ball(3, 3).graph,
+              triangle_tree_ball(3).graph, from_edges(1, []), from_edges(2, [(0, 1)]),
+              from_edges(3, [(0, 1), (0, 1), (1, 2)]),  # a double edge
+              from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 3)], half_loops=[4, 1]),
+              split_full_loops(rose(2)), split_full_loops(configuration_model(3, 10, seed=3)),
+              add_half_loops_to_regularize(cycle_graph(5), 4),
+              add_half_loops_to_regularize(tree_ball(3, 2).graph, 3),
+              disjoint_union(cycle_graph(4), tree_ball(3, 2).graph),
+              disjoint_union(half_loop_rose(2), from_edges(2, [(0, 1)]))]
+    graphs += [configuration_model(d, n, seed=s)
+               for d, n in ((1, 12), (2, 16), (3, 20), (4, 12), (5, 8)) for s in range(4)]
+    return graphs
+
+
+def test_tree_radius_matches_the_ball_oracle():
+    checked = 0
+    for g in tree_radius_fixtures():
+        for v in range(g.nv):
+            for rmax in range(5):
+                assert tree_radius(g, v, rmax) == _tree_radius_by_balls(g, v, rmax), (g, v, rmax)
+                checked += 1
+    assert checked > 1500
+
+
+def test_tree_radius_edge_cases():
+    assert tree_radius(rose(1), 0, 3) == -1 and tree_radius(half_loop_rose(1), 0, 0) == -1
+    assert tree_radius(from_edges(1, []), 0, 0) == 0
+    assert tree_radius(cycle_graph(6), 0, 9) == 2  # the radius-3 ball closes the hexagon
+    assert tree_radius(cycle_graph(7), 0, 9) == 2  # the edge between the two level-3 vertices
+    assert tree_radius(from_edges(2, [(0, 1), (0, 1)]), 0, 4) == 0  # a double edge at level 1
+    assert tree_radius(tree_ball(3, 4).graph, 0, 2) == 2
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        tree_radius(petersen(), 0, -1)
+
+
+def test_is_tree_matches_the_edge_count_definition():
+    graphs = tree_radius_fixtures() + [
+        SerreGraph(0, [], [], []), disjoint_union(tree_ball(3, 1).graph, tree_ball(3, 2).graph)]
+    for g in graphs:
+        assert is_tree(g) == _is_tree_by_edge_count(g), g
+        for v in range(g.nv):
+            b = ball(g, v, 2).graph
+            assert is_tree(b) == _is_tree_by_edge_count(b), (g, v)
+
+
+# -- validate ----------------------------------------------------------------------
+
+
+def _problems_by_edge_loop(g):
+    """The per-edge loop that validate's array checks replace."""
+    problems = []
+    for e in range(g.ne):
+        f = g.inv[e]
+        if g.inv[f] != e:
+            problems.append(f"edge {e}: inv(inv) = {g.inv[f]} != {e}")
+        if g.src[f] != g.dst[e] or g.dst[f] != g.src[e]:
+            problems.append(f"edge {e}: inverse {f} does not swap endpoints")
+    return problems
+
+
+def test_validate_problems_match_the_edge_loop():
+    base = disjoint_union(petersen(), split_full_loops(rose(2)))
+    ne = base.ne
+    flagged = 0
+    for positions in ([0], [ne - 1], [3, 17], [29, 4, 11], list(range(0, ne, 5))):
+        for shift in range(3):
+            src, dst, inv = list(base.src), list(base.dst), list(base.inv)
+            for j, e in enumerate(positions):
+                kind = (j + shift) % 3
+                if kind == 0:
+                    inv[e] = (inv[e] + 1) % ne  # breaks inv(inv) = id, usually the swap too
+                elif kind == 1:
+                    dst[e] = (dst[e] + 1) % base.nv  # breaks the endpoint swap only
+                else:
+                    inv[e] = e  # a half-loop id on an edge between two vertices
+            g = SerreGraph(base.nv, src, dst, inv)
+            rep = validate(g)
+            want = _problems_by_edge_loop(g)
+            assert rep.problems == want and rep.ok == (not want), (positions, shift)
+            flagged += len(want)
+    assert flagged > 60
+    for g in tree_radius_fixtures():
+        assert validate(g).problems == _problems_by_edge_loop(g) == []

@@ -12,8 +12,11 @@ from serregraph.core import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    half_loop_rose,
     petersen,
     prism,
+    rose,
+    split_full_loops,
     validate,
 )
 from serregraph.patterns import tree_pattern
@@ -226,3 +229,20 @@ def test_planted_triangle_parameter_errors():
         limits.planted_triangle_graph(3, 30, 0.5, seed=0)  # 3t > n
     with pytest.raises(ValueError):
         limits.planted_triangle_graph(2, 30, 0.1, seed=0)
+
+
+# km_w1 divides by a zero tree-measure mass at d = 1; only tv_tree is compared here
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+def test_tv_tree_equals_the_pattern_histogram():
+    graphs = [limits.configuration_model(d, n, seed=s)
+              for d, n in ((1, 10), (2, 12), (3, 16), (3, 40), (4, 12), (5, 8)) for s in range(3)]
+    graphs += [petersen(), prism(4), rose(2), half_loop_rose(3), split_full_loops(rose(2)),
+               limits.planted_triangle_graph(3, 30, 0.2, seed=1)]
+    cases = 0
+    for g in graphs:
+        d = validate(g).regular_degree
+        for r in range(4):
+            row, = limits.ekvivalens_diagnostic([g], r, 1)
+            assert row.tv_tree == limits.tree_pattern_tv(limits.bs_histogram(g, r), d), (g, r)
+            cases += 1
+    assert {validate(g).regular_degree for g in graphs} == {1, 2, 3, 4, 5} and cases > 90

@@ -289,3 +289,28 @@ def test_rayleigh_detects_triangle_gap():
         b = ball(rg.graph, rg.root, R + 1)
         val = spectral.rayleigh_lower_bound(b, 3, R)
         assert val >= rho_tree(3) + gap
+
+
+def test_has_cycle_direct_cases():
+    assert spectral.has_cycle(cycle_graph(5))
+    assert not spectral.has_cycle(tree_ball(3, 3).graph)
+    assert not spectral.has_cycle(complete_graph(2))
+    assert not spectral.has_cycle(from_edges(1, []))  # an isolated vertex
+    assert spectral.has_cycle(half_loop_rose(2))
+    assert spectral.has_cycle(rose(1))
+    assert spectral.has_cycle(from_edges(2, [(0, 1), (0, 1)]))  # a double edge
+    assert spectral.has_cycle(disjoint_union(tree_ball(3, 2).graph, cycle_graph(4)))
+    assert spectral.has_cycle(disjoint_union(from_edges(3, [(0, 1)]), half_loop_rose(1)))
+    assert not spectral.has_cycle(disjoint_union(tree_ball(3, 2).graph, from_edges(3, [(0, 2)])))
+
+
+def test_has_cycle_matches_component_edge_counts():
+    """A graph has a cycle exactly when it has a loop or some component has
+    at least as many undirected edges as vertices."""
+    from tests.test_core import tree_radius_fixtures
+
+    for g in tree_radius_fixtures():
+        loop = any(g.inv[e] == e or g.src[e] == g.dst[e] for e in range(g.ne))
+        dense = any(sum(g.degree(v) for v in c) // 2 >= len(c)
+                    for c in core.connected_components(g))
+        assert spectral.has_cycle(g) == (loop or dense), g
