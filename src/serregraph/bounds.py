@@ -15,7 +15,7 @@ from fractions import Fraction
 from .census import cycle_census, gamma_k
 from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, require_regular
 from .exact import rho_tree
-from .nullcycles import NullcycleSampler, chi_statistic, classify_cycle, enumerate_nullcycles
+from .nullcycles import NullcycleSampler, _unbalanced_edge, chi_statistic, enumerate_nullcycles
 from .report import BoundReport, Hypothesis, report, upper
 from .spectral import diag_power_counts_batch, markov_spectrum
 from .treewalk import tables_for
@@ -254,7 +254,7 @@ def thm_43_lower(
     lv = ell(d, k) if ell_value is None else ell_value
     ck = float(c_k(d, k))
     closed = _closed_walks(g, root, nk)
-    ncount = tables_for(d, max(nk, 2)).c[nk][0]
+    ncount = tables_for(d, max(nk, 2)).u[nk][0]
     notes = ""
     if d ** nk <= enum_budget:
         total = 0.0
@@ -287,8 +287,7 @@ def _segment_indicator(g: SerreGraph, w: Walk, k: int, lv: int) -> int:
     vs = w.vertices(g)
     if vs[k] != vs[0]:
         return 0
-    seg = Walk(vs[0], w.edges[:k])
-    if classify_cycle(g, seg).trivial:
+    if _unbalanced_edge(g, w.edges[:k]) is None:
         return 0
     visits = sum(1 for v in vs if v == vs[0])
     return 1 if visits <= lv else 0

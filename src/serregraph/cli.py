@@ -137,9 +137,9 @@ def _cmd_treewalk(args, emitter: _Emitter) -> int:
             "d": args.d,
             "nmax": args.nmax,
             "return_probabilities": [
-                frac_str(Fraction(t.c[n][0], args.d ** n)) for n in range(args.nmax + 1)
+                frac_str(Fraction(t.u[n][0], args.d ** n)) for n in range(args.nmax + 1)
             ],
-            "nullcycle_counts": [t.c[n][0] for n in range(args.nmax + 1)],
+            "nullcycle_counts": [t.u[n][0] for n in range(args.nmax + 1)],
         }
         emitter.write(_dumps(payload), args.out)
         return 0

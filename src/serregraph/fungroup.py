@@ -370,7 +370,7 @@ def p_k_distribution(
     js = [j for j in range(k % 2, k + 1, 2) if t.u[k][j]]
 
     def dist_at(n: int) -> dict[int, Fraction]:
-        den = t.c[n][0]
+        den = t.u[n][0]
         vals = {}
         for x in range(g.nv):
             num = sum(nb[j][x] * t.u[k][j] * t.u[n - k][j] for j in js)
@@ -536,7 +536,7 @@ def szep_tree_degenerate(d: int, nkmax: int = 64) -> BoundReport:
     worst = None
     for nk in range(2, nkmax + 1, 2):
         lhs = 2 ** nk * (d - 1) ** (nk // 2)  # (2 sqrt(d-1))^nk
-        rhs = t.c[nk][0]
+        rhs = t.u[nk][0]
         if lhs < rhs:
             raise BoundViolation(f"tree count chain failed at nk={nk}")
         ratio = Fraction(lhs, rhs)

@@ -127,9 +127,12 @@ def km_w1(eigenvalues, d: int, grid: int = 4001) -> float:
     """Wasserstein-1 distance between an empirical eigenvalue distribution
     and the tree measure, as the integrated CDF gap on [-1, 1]."""
     xs = np.linspace(-1.0, 1.0, grid)
-    pdf = km_density(xs, d)
-    cdf_km = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(xs))])
-    cdf_km = np.minimum(cdf_km / cdf_km[-1], 1.0)
+    if d == 1:  # T_1 is K2: the measure (delta_-1 + delta_1)/2 has no density
+        cdf_km = np.where(xs < 1.0, 0.5, 1.0)
+    else:
+        pdf = km_density(xs, d)
+        cdf_km = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2 * np.diff(xs))])
+        cdf_km = np.minimum(cdf_km / cdf_km[-1], 1.0)
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
     cdf_g = np.searchsorted(ev, xs, side="right") / len(ev)
     return float(np.trapezoid(np.abs(cdf_g - cdf_km), xs))

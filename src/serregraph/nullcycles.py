@@ -39,15 +39,21 @@ def classify_cycle(g: SerreGraph, walk: Walk) -> CycleClassification:
     """
     if not walk.is_closed(g):
         raise ValueError("classification is defined for closed walks only")
+    witness = _unbalanced_edge(g, walk.edges)
+    return CycleClassification(trivial=witness is None, witness=witness)
+
+
+def _unbalanced_edge(g: SerreGraph, edges) -> int | None:
+    """classify_cycle's witness for a word known to be closed; None if trivial."""
     counts: dict[int, int] = {}
-    for e in walk.edges:
+    for e in edges:
         if g.inv[e] == e:
-            return CycleClassification(trivial=False, witness=e)
+            return e
         counts[e] = counts.get(e, 0) + 1
     for e, c in counts.items():
         if counts.get(g.inv[e], 0) != c:
-            return CycleClassification(trivial=False, witness=e)
-    return CycleClassification(trivial=True, witness=None)
+            return e
+    return None
 
 
 def is_nullcycle(g: SerreGraph, walk: Walk) -> bool:
@@ -95,12 +101,12 @@ def enumerate_nullcycles(g: SerreGraph, root: int, n: int) -> list[tuple[int, ..
 class NullcycleSampler:
     """Uniform sampler over length-n nullcycles at a root.
 
-    State during a draw is the current vertex plus the stack of directed
-    edges not yet undone; the stack depth is the distance of the walk's lift
-    from the root's lift. With m steps left at depth k, the pop move has
-    exactly u[m-1][k-1] completions and each of the other edges u[m-1][k+1],
-    summing to u[m][k], so drawing an integer below u[m][k] and slicing it by
-    those counts is exactly uniform.
+    State during a draw is the stack of directed edges not yet undone (the
+    walk is at the head of its top edge); its depth is the distance of the
+    walk's lift from the root's lift. With m steps left at depth k, the pop
+    move has exactly u[m-1][k-1] completions and each of the other edges
+    u[m-1][k+1], summing to u[m][k], so drawing an integer below u[m][k] and
+    slicing it by those counts is exactly uniform.
     """
 
     def __init__(self, g: SerreGraph, root: int, n: int):
@@ -111,6 +117,10 @@ class NullcycleSampler:
         self.root = root
         self.n = n
         self.tables = tables_for(self.d, max(n, 2))
+        # per directed edge e, the pushes after it: out-edges of dst[e] but inv[e]
+        self._nonback = tuple(
+            tuple(f for f in g.out_edges(v) if f != back) for v, back in zip(g.dst, g.inv)
+        )
 
     def sample(self, seed) -> Walk:
         return next(self.draws(1, seed))
@@ -122,33 +132,34 @@ class NullcycleSampler:
             yield self._draw(rng)
 
     def _draw(self, rng) -> Walk:
-        g, u = self.g, self.tables.u
-        v = self.root
+        # getrandbits by rejection, as randrange draws: the stream is the same
+        getrandbits, u = rng.getrandbits, self.tables.u
+        inv, nonback, out = self.g.inv, self._nonback, self.g.out_edges(self.root)
         stack: list[int] = []
         edges: list[int] = []
-        for j in range(self.n):
-            m = self.n - j
+        for m in range(self.n, 0, -1):
             k = len(stack)
-            r = rng.randrange(u[m][k])
+            total, nxt = u[m][k], u[m - 1]
+            bits = total.bit_length()
+            r = getrandbits(bits)
+            while r >= total:
+                if not total:
+                    raise ValueError("empty range for randrange()")
+                r = getrandbits(bits)
             if k == 0:
-                w = u[m - 1][1]
-                e = g.out_edges(v)[r // w]
+                e = out[r // nxt[1]]
                 stack.append(e)
             else:
-                back = g.inv[stack[-1]]
-                wdown = u[m - 1][k - 1]
+                top = stack[-1]
+                wdown = nxt[k - 1]
                 if r < wdown:
-                    e = back
+                    e = inv[top]
                     stack.pop()
                 else:
-                    w = u[m - 1][k + 1]
-                    idx = (r - wdown) // w
-                    pushes = [f for f in g.out_edges(v) if f != back]
-                    e = pushes[idx]
+                    e = nonback[top][(r - wdown) // nxt[k + 1]]
                     stack.append(e)
             edges.append(e)
-            v = g.dst[e]
-        assert not stack and v == self.root
+        assert not stack
         return Walk(self.root, tuple(edges))
 
 
@@ -211,8 +222,7 @@ def chi_statistic(g: SerreGraph, walk: Walk, k: int, ell: int) -> int:
         a = j * k
         if vs[a] != vs[a + k]:
             continue
-        seg = Walk(vs[a], walk.edges[a : a + k])
-        if classify_cycle(g, seg).trivial:
+        if _unbalanced_edge(g, walk.edges[a : a + k]) is None:
             continue
         if visits[vs[a]] <= ell:
             total += 1

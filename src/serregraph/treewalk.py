@@ -15,6 +15,8 @@ They satisfy c[n][k] = u[n][k] * d * (d-1)^(k-1) for k >= 1 (the sphere at
 distance k has d*(d-1)^(k-1) exchangeable vertices) and c[n][0] = u[n][0].
 c[n][0] is also the number of nullcycles of length n at any vertex of any
 d-regular graph, which is why every other module consumes these tables.
+Tables live in memory only (tables_for). A build stores u; c comes from its
+own DP on first access, and nullcycle counts read u[n][0] instead.
 """
 
 from __future__ import annotations
@@ -29,21 +31,13 @@ from .exact import cmp_ratio_bound, rho_tree
 from .report import BoundReport, BoundViolation, report
 
 TABLE_FORMAT_VERSION = 1
-CACHE_ENV = "SERREGRAPH_CACHE"
 DEFAULT_NMAX = 512
-
-
-def _cache_dir():
-    path = os.environ.get(CACHE_ENV)
-    if path:
-        return path
-    return os.path.join(os.path.expanduser("~"), ".cache", "serregraph")
 
 
 class TreeWalkTables:
     """Immutable walk-count tables for one degree d up to length nmax."""
 
-    __slots__ = ("d", "nmax", "c", "u")
+    __slots__ = ("d", "nmax", "_c", "u")
 
     def __init__(self, d: int, nmax: int, _c=None):
         if d < 1:
@@ -52,8 +46,14 @@ class TreeWalkTables:
             raise ValueError("nmax must be >= 0")
         self.d = d
         self.nmax = nmax
-        self.c = _c if _c is not None else self._build_c(d, nmax)
+        self._c = _c
         self.u = self._build_u(d, nmax)
+
+    @property
+    def c(self):
+        if self._c is None:
+            self._c = self._build_c(self.d, self.nmax)
+        return self._c
 
     @staticmethod
     def _build_c(d, nmax):
@@ -82,12 +82,12 @@ class TreeWalkTables:
         return rows
 
     # -- persistence ------------------------------------------------------
+    # unused by the package; kept while perfbench/tracer.py binds both by name
 
     def cache_key(self) -> str:
         return f"treewalk-d{self.d}-n{self.nmax}-v{TABLE_FORMAT_VERSION}"
 
-    def save(self, directory=None):
-        directory = directory or _cache_dir()
+    def save(self, directory):
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, self.cache_key() + ".txt")
         tmp = path + ".tmp"
@@ -99,8 +99,7 @@ class TreeWalkTables:
         return path
 
     @classmethod
-    def load(cls, d, nmax, directory=None):
-        directory = directory or _cache_dir()
+    def load(cls, d, nmax, directory):
         path = os.path.join(directory, f"treewalk-d{d}-n{nmax}-v{TABLE_FORMAT_VERSION}.txt")
         with open(path) as fh:
             header = fh.readline().split()
@@ -119,22 +118,13 @@ class TreeWalkTables:
 _MEMO: dict[int, TreeWalkTables] = {}
 
 
-def tables_for(d: int, nmax: int, use_disk_cache: bool = True) -> TreeWalkTables:
-    """Shared tables, grown on demand; the biggest build per degree is kept."""
+def tables_for(d: int, nmax: int) -> TreeWalkTables:
+    """Shared tables, grown on demand; the biggest build per degree is kept
+    in memory, nothing goes to disk, and c is derived on first access."""
     t = _MEMO.get(d)
     if t is not None and t.nmax >= nmax:
         return t
-    if use_disk_cache:
-        try:
-            t = TreeWalkTables.load(d, nmax)
-        except (OSError, ValueError):
-            t = TreeWalkTables(d, nmax)
-            try:
-                t.save()
-            except OSError:
-                pass
-    else:
-        t = TreeWalkTables(d, nmax)
+    t = TreeWalkTables(d, nmax)
     _MEMO[d] = t
     return t
 
@@ -151,14 +141,14 @@ def return_probability(d: int, n: int, allow_odd: bool = False) -> Fraction:
             return Fraction(0)
         raise ValueError("odd n has r_n = 0; pass allow_odd=True to get it")
     t = tables_for(d, n)
-    return Fraction(t.c[n][0], d ** n)
+    return Fraction(t.u[n][0], d ** n)
 
 
 def nullcycle_count(d: int, n: int) -> int:
     """|N_n| = c[n][0], the number of length-n nullcycles at a vertex."""
     if n % 2:
         return 0
-    return tables_for(d, n).c[n][0]
+    return tables_for(d, n).u[n][0]
 
 
 def check_return_bounds(d: int, nmax: int) -> list[BoundReport]:
@@ -173,7 +163,7 @@ def check_return_bounds(d: int, nmax: int) -> list[BoundReport]:
     rho = rho_tree(d)
     out = []
     for n in range(2, nmax + 1, 2):
-        r = Fraction(t.c[n][0], d ** n)
+        r = Fraction(t.u[n][0], d ** n)
         lo_ok = cmp_ratio_bound(r, Fraction(2, 3), d, n) > 0
         hi_ok = cmp_ratio_bound(r, Fraction(10), d, n) < 0
         if not (lo_ok and hi_ok):
@@ -295,7 +285,7 @@ def bridge_distance_distribution(d: int, j: int, n: int) -> list[Fraction]:
     if n % 2 or not 0 <= j <= n:
         raise ValueError("need even n and 0 <= j <= n")
     t = tables_for(d, n)
-    denom = t.c[n][0]
+    denom = t.u[n][0]
     kcap = min(j, n - j)
     out = []
     for k in range(j + 1):
@@ -317,7 +307,7 @@ def bridge_visit_expectation(d: int, k: int, n: int) -> Fraction:
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     t = tables_for(d, n)
-    denom = t.c[n][0]
+    denom = t.u[n][0]
     total = 0
     for j in range(n + 1):
         if (j + k) % 2 or k > min(j, n - j):

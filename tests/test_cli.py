@@ -129,6 +129,44 @@ def test_stats_parser_rejects_unknown():
     ]
 
 
+@pytest.fixture()
+def cfg3_256_path(tmp_path):
+    from serregraph.limits import configuration_model
+
+    p = tmp_path / "cfg3-256-s1.sgf"
+    p.write_text(dumps(configuration_model(3, 256, seed=1)))
+    return str(p)
+
+
+# frozen stdout of the seeded draws: every walk is pinned edge for edge
+NULLCYCLE_CFG3_256 = (
+    '{"chi_k2_l50": 0, "draw": 0, "edges": [365, 364, 753, 752, 365, 364, 136, 175, 174, '
+    "666, 667, 666, 313, 276, 277, 312, 667, 137, 753, 752, 365, 275, 274, 275, 274, 275, "
+    '274, 63, 765, 161, 160, 764, 765, 764, 62, 364, 365, 364, 753, 752], "n": 40, '
+    '"root": 0, "visits": 9}\n'
+    '{"chi_k2_l50": 0, "draw": 1, "edges": [136, 666, 313, 613, 239, 238, 385, 384, 239, '
+    "138, 552, 553, 139, 238, 239, 238, 612, 613, 385, 384, 612, 613, 385, 384, 612, 613, "
+    '612, 276, 218, 622, 623, 328, 329, 219, 277, 312, 667, 137, 753, 752], "n": 40, '
+    '"root": 0, "visits": 3}\n'
+    '{"chi_k2_l50": 0, "draw": 2, "edges": [753, 30, 475, 92, 127, 126, 93, 92, 93, 49, 48, '
+    "474, 31, 752, 753, 614, 209, 228, 457, 146, 147, 456, 229, 208, 615, 752, 365, 364, "
+    '753, 614, 615, 752, 365, 364, 136, 137, 365, 364, 753, 752], "n": 40, "root": 0, '
+    '"visits": 9}\n'
+    '{"chi_k2_l50": 0, "draw": 3, "edges": [136, 666, 642, 220, 182, 205, 168, 169, 168, '
+    "169, 698, 699, 168, 554, 555, 169, 168, 169, 204, 321, 320, 205, 204, 183, 221, 500, "
+    '501, 220, 221, 643, 642, 500, 501, 500, 501, 643, 667, 137, 136, 137], "n": 40, '
+    '"root": 0, "visits": 3}\n'
+)
+
+
+def test_nullcycle_sample_output_is_pinned(cfg3_256_path, capsys):
+    args = ["nullcycle", "sample", "--in", cfg3_256_path, "--root", "0", "--n", "40",
+            "--count", "4", "--seed", "7", "--stats", "visits,chi:k=2:l=50"]
+    assert main(args) == 0
+    out = capsys.readouterr()
+    assert out.out == NULLCYCLE_CFG3_256 and out.err == ""
+
+
 # -- census ------------------------------------------------------------------------
 
 
@@ -194,6 +232,29 @@ GIRTH_CFG3_64 = (
     "0.8556312296359038,0.0,floor(beta lnln|G|) >= 1,"
     "informational below radius 1: displayed fraction uses r=1\n"
 )
+
+
+# frozen stdout of the chi and visits suites: 250 seeded draws per chi row
+WALKS_CFG3_256 = (
+    "suite,k,name,verdict,lhs,rhs,margin,tolerance,failed_hypotheses,notes\n"
+    "chi,2,chi-exp-lower n=200 k=2,pass,2.7558902768207063e+188,3.336140306957318e+176,"
+    "2.75589027681737e+188,3.211177409378038e+164,,Monte Carlo; 250 draws; tolerance is 3 sigma\n"
+    "chi,3,chi-exp-lower n=200 k=3,pass,7.320030093299977e+283,3.772369572417248e+266,"
+    "7.320030093299977e+283,1.7927344137130648e+253,,"
+    "Monte Carlo; 250 draws; tolerance is 3 sigma\n"
+    "visits,2,density-to-visits n=200 k=2,not applicable,0.0,0.0,0.0,1.8973665961010275e-07,"
+    "2k+2 <= n <= sqrt|G|,Monte Carlo; 250 draws; tolerance is 3 sigma\n"
+    "visits,3,density-to-visits n=200 k=3,not applicable,0.0,0.0,0.0,1.8973665961010275e-07,"
+    "2k+2 <= n <= sqrt|G|,Monte Carlo; 250 draws; tolerance is 3 sigma\n"
+)
+
+
+def test_bounds_walks_output_is_pinned(cfg3_256_path, capsys):
+    args = ["bounds", "verify", "--in", cfg3_256_path, "--suite", "chi,visits", "--k", "2,3",
+            "--n", "200", "--samples", "250", "--seed", "5"]
+    assert main(args) == 0
+    out = capsys.readouterr()
+    assert out.out == WALKS_CFG3_256 and out.err == ""
 
 
 def test_bounds_girth_output_is_pinned(tmp_path, capsys):

@@ -2,6 +2,7 @@
 convergence diagnostic."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,28 @@ def test_km_w1_small_for_large_random_graph():
     assert w_big < w_small
 
 
+def test_km_w1_at_degree_one_is_the_two_point_measure():
+    # T_1 is K2, so a perfect matching has exactly the tree's spectrum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, seed in ((2, 0), (10, 3), (64, 1)):
+            g = limits.configuration_model(1, n, seed=seed)
+            assert limits.km_w1(markov_spectrum(g).eigenvalues, 1) == 0.0
+            row, = limits.ekvivalens_diagnostic([g], 1, 2)
+            assert row.w1_km == 0.0
+        # one eigenvalue at 1 and three at -1: the CDF gap is 1/4 on [-1, 1)
+        assert abs(limits.km_w1([-1.0, -1.0, -1.0, 1.0], 1) - 0.5) < 1e-3
+
+
+def test_km_w1_above_degree_one_is_pinned():
+    cases = [(3, petersen(), 0.21560147647771333),
+             (2, limits.configuration_model(2, 12, seed=1), 0.10984000860435675),
+             (4, limits.configuration_model(4, 20, seed=2), 0.11345084225073769),
+             (3, complete_graph(4), 0.3527881390541714)]
+    for d, g, want in cases:
+        assert limits.km_w1(markov_spectrum(g).eigenvalues, d) == want
+
+
 def test_km_density_normalizes():
     from serregraph.exact import rho_tree
 
@@ -231,8 +254,6 @@ def test_planted_triangle_parameter_errors():
         limits.planted_triangle_graph(2, 30, 0.1, seed=0)
 
 
-# km_w1 divides by a zero tree-measure mass at d = 1; only tv_tree is compared here
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 def test_tv_tree_equals_the_pattern_histogram():
     graphs = [limits.configuration_model(d, n, seed=s)
               for d, n in ((1, 10), (2, 12), (3, 16), (3, 40), (4, 12), (5, 8)) for s in range(3)]

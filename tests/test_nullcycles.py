@@ -1,5 +1,10 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,8 +19,11 @@ from serregraph.core import (
     prism,
     rose,
     schreier_quotient,
+    split_full_loops,
 )
+from serregraph.limits import configuration_model
 from serregraph.report import BoundViolation
+from serregraph.sgf import dumps
 
 
 def schreier_triangle():
@@ -142,6 +150,104 @@ def test_half_loop_rose_words_reduce():
         assert nc.is_nullcycle(g, w)
 
 
+def _draw_randrange(s, rng):
+    """The sampler's step rule as first written: rng.randrange per step and
+    the push list rebuilt from out_edges at every step."""
+    g, u = s.g, s.tables.u
+    v = s.root
+    stack, edges = [], []
+    for j in range(s.n):
+        m = s.n - j
+        k = len(stack)
+        r = rng.randrange(u[m][k])
+        if k == 0:
+            e = g.out_edges(v)[r // u[m - 1][1]]
+            stack.append(e)
+        else:
+            back = g.inv[stack[-1]]
+            wdown = u[m - 1][k - 1]
+            if r < wdown:
+                e = back
+                stack.pop()
+            else:
+                pushes = [f for f in g.out_edges(v) if f != back]
+                e = pushes[(r - wdown) // u[m - 1][k + 1]]
+                stack.append(e)
+        edges.append(e)
+        v = g.dst[e]
+    assert not stack and v == s.root
+    return Walk(s.root, tuple(edges))
+
+
+def _assert_same_draws(g, root, n, seed, count):
+    s = nc.NullcycleSampler(g, root, n)
+    rng = random.Random(seed)
+    got = list(s.draws(count, seed))
+    assert got == [_draw_randrange(s, rng) for _ in range(count)], (g.name, n, seed)
+
+
+@pytest.mark.parametrize("n", [200, 400, 600])
+def test_draws_match_randrange_steps_on_cfg3_256(n):
+    g = configuration_model(3, 256, seed=1)
+    for seed in (0, 5, 911):
+        _assert_same_draws(g, 0, n, seed, 6)
+
+
+def test_draws_match_randrange_steps_with_loops_and_multi_edges():
+    graphs = [half_loop_rose(3), rose(2), split_full_loops(rose(2)), schreier_triangle()]
+    graphs += [configuration_model(d, 16, seed=s) for d in (3, 4, 5) for s in (0, 1)]
+    for g in graphs:
+        for n in (2, 10, 40):
+            for seed in (0, 3):
+                _assert_same_draws(g, 0, n, seed, 20)
+
+
+def test_draws_leave_the_rng_where_randrange_does():
+    s = nc.NullcycleSampler(configuration_model(3, 64, seed=2), 5, 100)
+    a, b = random.Random(8), random.Random(8)
+    for _ in range(10):
+        s._draw(a)
+        _draw_randrange(s, b)
+    assert a.getstate() == b.getstate()
+
+
+def test_zero_count_raises_instead_of_spinning():
+    class Counting(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            self.calls += 1
+            assert self.calls < 100, "the draw keeps asking for bits"
+            return super().getrandbits(k)
+
+    s = nc.NullcycleSampler(complete_graph(4), 0, 4)
+    s.tables = SimpleNamespace(u=[[0] * 6 for _ in range(5)])
+    with pytest.raises(ValueError):
+        s._draw(Counting(0))
+
+
+def test_tables_and_draws_write_no_file(tmp_path, monkeypatch):
+    cache, home = tmp_path / "cache", tmp_path / "home"
+    cache.mkdir()
+    home.mkdir()
+    monkeypatch.setenv("SERREGRAPH_CACHE", str(cache))
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setattr(tw, "_MEMO", {})
+    t = tw.tables_for(3, 120)
+    assert t.c[120][0] == t.u[120][0]
+    s = nc.NullcycleSampler(configuration_model(3, 32, seed=0), 0, 120)
+    assert len(list(s.draws(3, seed=1))) == 3
+    sgf = tmp_path / "g.sgf"
+    sgf.write_text(dumps(configuration_model(3, 32, seed=0)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serregraph", "nullcycle", "sample", "--in", str(sgf),
+         "--root", "0", "--n", "300", "--count", "2"],
+        capture_output=True, text=True, env=dict(os.environ), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert list(cache.iterdir()) == [] and list(home.iterdir()) == []
+
+
 # -- chi ------------------------------------------------------------------------
 
 
@@ -175,6 +281,51 @@ def test_chi_requires_divisibility():
     w = tri_and_back(g)
     with pytest.raises(ValueError):
         nc.chi_statistic(g, w, 4, 10)
+
+
+def _chi_reference(g, walk, k, ell):
+    """chi as first written: every closed aligned segment is re-walked and
+    classified by the balanced-traversal rule of classify_cycle."""
+    vs = walk.vertices(g)
+    total = 0
+    for j in range(len(walk.edges) // k):
+        a = j * k
+        if vs[a] != vs[a + k]:
+            continue
+        seg = Walk(vs[a], walk.edges[a : a + k])
+        assert seg.is_closed(g)
+        counts, trivial = {}, True
+        for e in seg.edges:
+            if g.inv[e] == e:
+                trivial = False
+            counts[e] = counts.get(e, 0) + 1
+        if any(counts.get(g.inv[e], 0) != c for e, c in counts.items()):
+            trivial = False
+        if not trivial and vs.count(vs[a]) <= ell:
+            total += 1
+    return total
+
+
+def test_chi_equals_the_segment_walking_definition():
+    from serregraph.bounds import _segment_indicator
+
+    graphs = [half_loop_rose(3), rose(2), split_full_loops(rose(2)), schreier_triangle(),
+              complete_graph(4)]
+    graphs += [configuration_model(d, 16, seed=s) for d in (3, 4) for s in (0, 1)]
+    nontrivial = 0
+    for g in graphs:
+        for n in (12, 24):
+            for w in nc.NullcycleSampler(g, 0, n).draws(30, seed=n):
+                for k in (2, 3, 4, 6):
+                    for ell in (1, 3, 10 ** 9):
+                        want = _chi_reference(g, w, k, ell)
+                        assert nc.chi_statistic(g, w, k, ell) == want, (g.name, w, k, ell)
+                        nontrivial += want
+                    head = Walk(0, w.edges[:k])
+                    assert _segment_indicator(g, w, k, 10 ** 9) == _chi_reference(
+                        g, head, k, 10 ** 9
+                    )
+    assert nontrivial > 0
 
 
 def test_segment_rate_same_at_every_offset():

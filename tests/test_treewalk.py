@@ -48,7 +48,7 @@ def sphere_counts(d, n):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_c_table_matches_ball_propagation(d):
-    t = tw.tables_for(d, 8, use_disk_cache=False)
+    t = tw.tables_for(d, 8)
     for n in range(9):
         hist = sphere_counts(d, n)
         for k in range(n + 1):
@@ -66,13 +66,13 @@ def test_u_table_matches_ball_propagation(d):
             dist = core.distances_from(g, 0)
             start = min(v for v, dv in dist.items() if dv == k)
             vec = propagate(g, start, n)
-            t = tw.tables_for(d, n, use_disk_cache=False)
+            t = tw.tables_for(d, n)
             assert t.u[n][k] == vec[0], (d, n, k)
 
 
 def test_row_sums_and_cross_identity():
     for d in (2, 3, 4, 6):
-        t = tw.tables_for(d, 30, use_disk_cache=False)
+        t = tw.tables_for(d, 30)
         for n in range(31):
             assert sum(t.c[n]) == d ** n
             for k in range(1, n + 1):
@@ -83,7 +83,7 @@ def test_row_sums_and_cross_identity():
 @given(d=st.integers(2, 7), n=st.integers(0, 60))
 @settings(max_examples=40, deadline=None)
 def test_row_sum_property(d, n):
-    t = tw.tables_for(d, n, use_disk_cache=False)
+    t = tw.tables_for(d, n)
     assert sum(t.c[n][: n + 2]) == d ** n
 
 
@@ -290,7 +290,7 @@ def test_bridge_mc_k0_counts_both_endpoints():
 def test_finite_bridge_ratio_exact_small():
     # u[2][2] = 1, u[2][0] = d
     assert tw.finite_bridge_ratio(3, 1, 2) == pytest.approx(1 / 3)
-    t = tw.tables_for(3, 40, use_disk_cache=False)
+    t = tw.tables_for(3, 40)
     assert tw.finite_bridge_ratio(3, 2, 11) == pytest.approx(t.u[11][3] / t.u[11][1])
     with pytest.raises(ValueError):
         tw.finite_bridge_ratio(3, 2, 10)
@@ -353,8 +353,36 @@ def test_table_cache_header_guard(tmp_path):
 
 
 def test_tables_for_memoizes_and_grows():
-    a = tw.tables_for(7, 10, use_disk_cache=False)
-    b = tw.tables_for(7, 6, use_disk_cache=False)
+    a = tw.tables_for(7, 10)
+    b = tw.tables_for(7, 6)
     assert b is a
-    c = tw.tables_for(7, 12, use_disk_cache=False)
+    c = tw.tables_for(7, 12)
     assert c.nmax >= 12
+
+
+def _c_eager(d, nmax):
+    """c[n][k] as the tables held it when every build ran this DP."""
+    rows = [[0] * (nmax + 2) for _ in range(nmax + 1)]
+    rows[0][0] = 1
+    for n in range(1, nmax + 1):
+        prev, cur = rows[n - 1], rows[n]
+        cur[0] = prev[1]
+        for k in range(1, n + 1):
+            cur[k] = (d if k == 1 else d - 1) * prev[k - 1] + prev[k + 1]
+    return rows
+
+
+def test_lazy_c_equals_the_eager_dp():
+    for d in range(1, 8):
+        t = tw.TreeWalkTables(d, 40)
+        assert t._c is None
+        assert t.c == _c_eager(d, 40)
+        assert t.c is t._c
+
+
+def test_nullcycle_counts_leave_c_unbuilt(monkeypatch):
+    monkeypatch.setattr(tw, "_MEMO", {})
+    assert tw.nullcycle_count(4, 30) == _c_eager(4, 30)[30][0]
+    assert tw.return_probability(4, 30) == Fraction(_c_eager(4, 30)[30][0], 4 ** 30)
+    assert len(tw.check_return_bounds(4, 30)) == 15
+    assert tw._MEMO[4]._c is None
