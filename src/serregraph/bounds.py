@@ -36,6 +36,9 @@ __all__ = [
     "ess_girth_bound",
 ]
 
+# walk counts d^n up to this are enumerated exactly; above it, sampled
+EXACT_BUDGET = 2 * 10 ** 6
+
 
 def nu_k(d: int, k: int) -> int:
     """2*10^11 * 2^(4k) * (d-1)^(3k) * k, exact."""
@@ -83,7 +86,6 @@ def thm_main_finite(
     base: str = "d",
     rho_value: float | None = None,
     gamma_mean: Fraction | None = None,
-    residual: float = 0.0,
 ) -> BoundReport:
     """rho(G)/rho(T_d) >= 1 + E gamma_k / nu_k - (1.5 log_b log_b |G| + 6)/log_b |G|.
 
@@ -112,7 +114,7 @@ def thm_main_finite(
             "rho": rho_value,
             "log_base": b,
         },
-        tolerance=residual / rho_tree(d) + 1e-12,
+        tolerance=1e-12,
     )
 
 
@@ -120,30 +122,27 @@ def thm_main_ramanujan(
     g: SerreGraph,
     k: int,
     *,
-    base: str = "d",
     rho_value: float | None = None,
     gamma_mean: Fraction | None = None,
-    residual: float = 0.0,
 ) -> BoundReport:
-    """For Ramanujan graphs: E gamma_k <= nu_k (1.5 log_b log_b|G| + 6)/log_b|G|."""
+    """For Ramanujan graphs: E gamma_k <= nu_k (1.5 log_d log_d|G| + 6)/log_d|G|."""
     d = require_regular(g)
     _check_dk(d, k)
-    b = d if base == "d" else d - 1
     rho_value, gamma_mean = _rho_and_gamma(g, k, rho_value, gamma_mean)
     size_ok = Hypothesis("|G| >= 8d", g.nv >= 8 * d, f"|G|={g.nv}")
     ram_ok = Hypothesis(
         "rho <= rho(T_d)",
-        rho_value <= rho_tree(d) + residual + 1e-12,
+        rho_value <= rho_tree(d) + 1e-12,
         f"rho={rho_value:.8f}, rho(T_d)={rho_tree(d):.8f}",
     )
-    lg = _logb(g.nv, b)
-    bound = nu_k(d, k) * (1.5 * _logb(lg, b) + 6.0) / lg
+    lg = _logb(g.nv, d)
+    bound = nu_k(d, k) * (1.5 * _logb(lg, d) + 6.0) / lg
     return upper(
         f"main-ramanujan-gamma k={k}",
         value=float(gamma_mean),
         bound=bound,
         hypotheses=(size_ok, ram_ok),
-        constants={"nu_k": nu_k(d, k), "E gamma_k": gamma_mean, "log_base": b},
+        constants={"nu_k": nu_k(d, k), "E gamma_k": gamma_mean, "log_base": d},
         tolerance=1e-12 * (1.0 + abs(bound)),
     )
 
@@ -236,10 +235,9 @@ def thm_43_lower(
     n: int,
     k: int,
     *,
-    ell_value: int | None = None,
     samples: int = 20000,
     seed: int = 0,
-    enum_budget: int = 2 * 10 ** 6,
+    enum_budget: int = EXACT_BUDGET,
 ) -> BoundReport:
     """#closed nk-walks at root >= (1/14) sum over nullcycles of exp(c_k chi/ell).
 
@@ -251,7 +249,7 @@ def thm_43_lower(
     nk = n * k
     if nk % 2 or nk <= 0:
         raise ValueError("nk must be positive and even")
-    lv = ell(d, k) if ell_value is None else ell_value
+    lv = ell(d, k)
     ck = float(c_k(d, k))
     closed = _closed_walks(g, root, nk)
     ncount = tables_for(d, max(nk, 2)).u[nk][0]
@@ -301,7 +299,6 @@ def lemma_visits_lower(
     *,
     samples: int = 20000,
     seed: int = 0,
-    enum_budget: int = 2 * 10 ** 6,
     rho_value: float | None = None,
 ) -> BoundReport:
     """Mean of chi_ell(w, 0, k) over uniform nullcycles of length n is at
@@ -323,7 +320,7 @@ def lemma_visits_lower(
     gam = gamma_k(g, root, k)
     rhs = gam / (30.0 * (4 * d - 4) ** k)
     notes = ""
-    if d ** n <= enum_budget:
+    if d ** n <= EXACT_BUDGET:
         hits = 0
         walks = enumerate_nullcycles(g, root, n)
         for edges in walks:

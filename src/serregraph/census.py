@@ -138,8 +138,8 @@ class CycleCensus:
         }
 
 
-def cycle_census(g: SerreGraph, k: int, budget: int = ENUM_BUDGET) -> CycleCensus:
-    _check_budget(g, k, budget)
+def cycle_census(g: SerreGraph, k: int) -> CycleCensus:
+    _check_budget(g, k, ENUM_BUDGET)
     per = tuple(0 if tree_radius(g, v, k // 2) == k // 2 else _count_closed_nontrivial(g, v, k)
                 for v in range(g.nv))
     total = sum(per)

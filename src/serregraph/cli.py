@@ -95,7 +95,10 @@ def _write_manifest(args, emitter: _Emitter) -> None:
         return
     skip = {"manifest", "func"}
     params = {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
-    seeds = [v for k, v in params.items() if "seed" in k and v is not None]
+    if "seeds" in params:  # a count: the fleet's graphs use seeds 0..count-1
+        seeds = list(range(params["seeds"]))
+    else:
+        seeds = [params["seed"]] if "seed" in params else []
     cache_keys = sorted((d, t.nmax) for d, t in treewalk._MEMO.items())
     manifest = {
         "subcommand": params.pop("command"),

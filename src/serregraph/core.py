@@ -131,6 +131,19 @@ class Walk:
         return vs[0] == vs[-1]
 
 
+def reduce_word(g: SerreGraph, edges) -> tuple[int, ...]:
+    """The edge word with adjacent inverse pairs erased until none is left
+    (a half-loop is its own inverse, so a repeated one cancels too).
+    Reduction is confluent, so one left-to-right stack pass suffices."""
+    out = []
+    for e in edges:
+        if out and out[-1] == g.inv[e]:
+            out.pop()
+        else:
+            out.append(e)
+    return tuple(out)
+
+
 @dataclass
 class ValidationReport:
     ok: bool

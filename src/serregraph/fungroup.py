@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, require_regular
+from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, reduce_word, require_regular
 from .exact import rho_tree
 from .report import BoundReport, BoundViolation, Hypothesis, report
 from .spectral import markov_spectrum
@@ -35,24 +35,15 @@ __all__ = [
     "szep_tree_degenerate",
 ]
 
-
-def _reduce(g: SerreGraph, edges) -> tuple[int, ...]:
-    out = []
-    for e in edges:
-        if out and out[-1] == g.inv[e]:
-            out.pop()
-        else:
-            out.append(e)
-    return tuple(out)
+# p_k_distribution stops iterating in n once consecutive finite-n marginals
+# are this close in total variation
+TV_TOL = Fraction(1, 10 ** 8)
 
 
 def homotopy_class(g: SerreGraph, walk: Walk) -> tuple[int, ...]:
-    """Fully reduced edge word of the walk; empty iff nullhomotopic.
-
-    Reduction is confluent, so a single left-to-right stack pass suffices.
-    """
+    """Fully reduced edge word of the walk; empty iff nullhomotopic."""
     walk.vertices(g)  # raises if the edge sequence is not a walk
-    return _reduce(g, walk.edges)
+    return reduce_word(g, walk.edges)
 
 
 def is_nullhomotopic(g: SerreGraph, walk: Walk) -> bool:
@@ -167,7 +158,7 @@ def _radial_rank(g: SerreGraph, walks) -> int | None:
     """Number of free letters if every walk reduces to a distinct single
     edge; None otherwise. Loop letters at one vertex never satisfy a
     relation, so the pair walk is then radially a tree walk."""
-    cores = [_reduce(g, w) for w in walks]
+    cores = [reduce_word(g, w) for w in walks]
     if any(len(c) != 1 for c in cores):
         return None
     letters = [c[0] for c in cores]
@@ -206,6 +197,9 @@ def kappa_estimate(
     """
     if mmax < 1:
         raise ValueError("mmax must be >= 1")
+    for name, v in (("x", x), ("y", y)):
+        if not 0 <= v < g.nv:
+            raise ValueError(f"{name} = {v} is not a vertex (0..{g.nv - 1})")
     W = _walks_between(g, x, y, k, walk_budget)
     if not W:
         raise ValueError(f"no walks of length {k} from {x} to {y}")
@@ -223,8 +217,8 @@ def kappa_estimate(
             raise ValueError("v_path must run from y back to the basepoint")
     elif y != base:
         raise ValueError("empty v_path requires y == basepoint")
-    u = _reduce(g, u_path)
-    v = _reduce(g, v_path)
+    u = reduce_word(g, u_path)
+    v = reduce_word(g, v_path)
 
     if method not in ("auto", "exact", "mc"):
         raise ValueError("method must be auto, exact, or mc")
@@ -241,7 +235,7 @@ def kappa_estimate(
             est.check_monotone()
             return est
 
-    words = [_word_mul(g, _word_mul(g, u, _reduce(g, w)), v) for w in W]
+    words = [_word_mul(g, _word_mul(g, u, reduce_word(g, w)), v) for w in W]
     nw = len(words)
 
     if method == "mc":
@@ -345,9 +339,7 @@ class PkDistribution:
         )
 
 
-def p_k_distribution(
-    g: SerreGraph, o: int, k: int, nmax: int = 400, tol: Fraction = Fraction(1, 10 ** 8)
-) -> PkDistribution:
+def p_k_distribution(g: SerreGraph, o: int, k: int, nmax: int = 400) -> PkDistribution:
     """Exact time-k marginal of a uniform nullcycle, finite n and limit.
 
     Counts come from lifting to the covering tree: walks to a lift at
@@ -356,7 +348,7 @@ def p_k_distribution(
     legs with the radial weight (d + j(d-2))/d over 2^k (d-1)^((j+k)/2);
     j = k mod 2 keeps that exponent integral, so the limit is an exact
     rational too. The finite-n iteration approaches it at rate 1/n, so the
-    consecutive-TV threshold is usually still unmet at nmax; the flag
+    consecutive-TV threshold TV_TOL is usually still unmet at nmax; the flag
     records that honestly while values carries the limit.
     """
     d = require_regular(g)
@@ -390,7 +382,7 @@ def p_k_distribution(
         keys = set(prev) | set(cur)
         tv = sum(abs(cur.get(x, Fraction(0)) - prev.get(x, Fraction(0))) for x in keys) / 2
         prev = cur
-        if tv < tol:
+        if tv < TV_TOL:
             stabilized = True
             break
 
@@ -424,16 +416,7 @@ class KappaStar:
         return self.value_sequence[-1]
 
 
-def kappa_star(
-    g: SerreGraph,
-    o: int,
-    k: int,
-    mmax: int = 4,
-    *,
-    nmax: int = 400,
-    state_budget: int = 200_000,
-    rho_value: float | None = None,
-) -> KappaStar:
+def kappa_star(g: SerreGraph, o: int, k: int, mmax: int = 4) -> KappaStar:
     """Geometric mean of the endpoint norms weighted by the stabilized
     time-k nullcycle marginal, with the spectral-radius display.
 
@@ -444,11 +427,8 @@ def kappa_star(
     stronger than the statement, a negative one contradicts nothing.
     """
     d = require_regular(g)
-    pk = p_k_distribution(g, o, k, nmax=nmax)
-    ests = {
-        x: kappa_estimate(g, o, x, k, mmax, state_budget=state_budget)
-        for x in sorted(pk.values)
-    }
+    pk = p_k_distribution(g, o, k)
+    ests = {x: kappa_estimate(g, o, x, k, mmax) for x in sorted(pk.values)}
     m_common = min(e.achieved_m for e in ests.values())
     if m_common < 1:
         raise ValueError("no common achieved m across endpoint estimates")
@@ -459,8 +439,7 @@ def kappa_star(
     for a, b in zip(seq, seq[1:]):
         if a > b + 1e-12:
             raise BoundViolation("kappa-star sequence decreased")
-    if rho_value is None:
-        rho_value = markov_spectrum(g).rho
+    rho_value = markov_spectrum(g).rho
     diag = report(
         f"kappa-star-display k={k}",
         lhs=math.log(rho_value),
@@ -478,16 +457,7 @@ def kappa_star(
     return KappaStar(o, k, dict(pk.values), ests, seq, diag)
 
 
-def lemma_basic_check(
-    g: SerreGraph,
-    o: int,
-    x: int,
-    w_path,
-    k: int,
-    *,
-    mmax: int = 6,
-    state_budget: int = 200_000,
-) -> BoundReport:
+def lemma_basic_check(g: SerreGraph, o: int, x: int, w_path, k: int) -> BoundReport:
     """|W_k(o,x)| kappa_hat <= (d rho(T_d))^(k+|w|), verdict-grade since the
     norm estimate only lowers the left side; the companion count
     |W_k(o,x) w  intersect  nullhomotopic| <= |W_k| kappa_hat rides along in
@@ -504,8 +474,8 @@ def lemma_basic_check(
     W = _walks_between(g, o, x, k, 2 * 10 ** 6)
     if not W:
         raise ValueError(f"no walks of length {k} from {o} to {x}")
-    est = kappa_estimate(g, o, x, k, mmax, state_budget=state_budget)
-    closed_null = sum(1 for w in W if _reduce(g, w + w_path) == ())
+    est = kappa_estimate(g, o, x, k, mmax=6)
+    closed_null = sum(1 for w in W if reduce_word(g, w + w_path) == ())
     lhs_mid = len(W) * est.last
     bound = (d * rho_tree(d)) ** (k + len(w_path))
     left_ok = closed_null <= lhs_mid + 1e-12

@@ -36,6 +36,8 @@ __all__ = [
     "weakly_ramanujan_mass",
 ]
 
+KM_GRID = 4001  # points of the [-1, 1] grid km_w1 integrates the CDF gap on
+
 
 @dataclass
 class PatternHistogram:
@@ -123,10 +125,11 @@ def km_density(x, d: int):
     return val
 
 
-def km_w1(eigenvalues, d: int, grid: int = 4001) -> float:
+def km_w1(eigenvalues, d: int) -> float:
     """Wasserstein-1 distance between an empirical eigenvalue distribution
-    and the tree measure, as the integrated CDF gap on [-1, 1]."""
-    xs = np.linspace(-1.0, 1.0, grid)
+    and the tree measure, as the integrated CDF gap on [-1, 1] sampled at
+    KM_GRID points."""
+    xs = np.linspace(-1.0, 1.0, KM_GRID)
     if d == 1:  # T_1 is K2: the measure (delta_-1 + delta_1)/2 has no density
         cdf_km = np.where(xs < 1.0, 0.5, 1.0)
     else:

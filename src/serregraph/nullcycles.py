@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, require_regular
+from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, reduce_word, require_regular
 from .report import BoundReport, BoundViolation, Hypothesis, upper
 from .treewalk import bridge_distance_distribution, tables_for
 
@@ -58,17 +58,8 @@ def _unbalanced_edge(g: SerreGraph, edges) -> int | None:
 
 def is_nullcycle(g: SerreGraph, walk: Walk) -> bool:
     """True when the edge word reduces to the empty word."""
-    stack: list[int] = []
-    v = walk.start
-    for e in walk.edges:
-        if g.src[e] != v:
-            raise ValueError("broken walk")
-        if stack and e == g.inv[stack[-1]]:
-            stack.pop()
-        else:
-            stack.append(e)
-        v = g.dst[e]
-    return not stack
+    walk.vertices(g)  # raises if the edge sequence is not a walk
+    return not reduce_word(g, walk.edges)
 
 
 def enumerate_nullcycles(g: SerreGraph, root: int, n: int) -> list[tuple[int, ...]]:
@@ -112,6 +103,8 @@ class NullcycleSampler:
     def __init__(self, g: SerreGraph, root: int, n: int):
         if n % 2:
             raise ValueError("nullcycles have even length")
+        if not 0 <= root < g.nv:
+            raise ValueError(f"root {root} is not a vertex (0..{g.nv - 1})")
         self.d = require_regular(g)
         self.g = g
         self.root = root

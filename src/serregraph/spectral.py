@@ -36,6 +36,10 @@ from .report import BoundReport, Hypothesis, report
 
 ABS_CLUSTER_TOL = 1e-8
 WINDOW_GUARD = 1e-9
+# hashimoto_perron's power iteration: relative change that counts as
+# converged, and the step cap of each of its two passes
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 100000
 
 
 def markov_matrix(g: SerreGraph) -> np.ndarray:
@@ -61,12 +65,13 @@ def is_bipartite(g: SerreGraph) -> bool:
     return True
 
 
-def distinct_abs_desc(eigenvalues, tol: float = ABS_CLUSTER_TOL) -> list[float]:
-    """Cluster absolute values within tol; representatives, descending."""
+def distinct_abs_desc(eigenvalues) -> list[float]:
+    """Cluster absolute values within ABS_CLUSTER_TOL; representatives,
+    descending."""
     vals = sorted((abs(float(x)) for x in eigenvalues), reverse=True)
     reps = []
     for x in vals:
-        if not reps or reps[-1] - x > tol:
+        if not reps or reps[-1] - x > ABS_CLUSTER_TOL:
             reps.append(x)
     return reps
 
@@ -82,18 +87,17 @@ class SpectralSummary:
     n_components: int
 
 
-def weakly_ramanujan_mass(g: SerreGraph, residual: float = 0.0,
-                          eigenvalues=None) -> Fraction:
+def weakly_ramanujan_mass(g: SerreGraph, eigenvalues=None) -> Fraction:
     """Fraction of eigenvalues with |lambda| strictly inside the tree window.
 
-    Strict means |lambda| < 2 sqrt(d-1)/d - residual (minus a 1e-9 guard so
-    eigenvalues that are exactly on the edge, like the bipartite pair at
-    d = 2, are never counted in by rounding).
+    Strict means |lambda| < 2 sqrt(d-1)/d minus a 1e-9 guard, so eigenvalues
+    that are exactly on the edge, like the bipartite pair at d = 2, are
+    never counted in by rounding.
     """
     d = require_regular(g)
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvalsh(markov_matrix(g))
-    cut = rho_tree(d) - residual - WINDOW_GUARD
+    cut = rho_tree(d) - WINDOW_GUARD
     count = int(np.count_nonzero(np.abs(eigenvalues) < cut))
     return Fraction(count, g.nv)
 
@@ -298,7 +302,7 @@ class CogrowthSummary:
     rho_cover: float | None = None
 
 
-def hashimoto_perron(g: SerreGraph, tol: float = 1e-10, max_iter: int = 100000) -> tuple[float, str]:
+def hashimoto_perron(g: SerreGraph) -> tuple[float, str]:
     """Perron value of the non-backtracking operator.
 
     Constant row sums (regular graphs) give the value exactly. Otherwise a
@@ -316,27 +320,27 @@ def hashimoto_perron(g: SerreGraph, tol: float = 1e-10, max_iter: int = 100000) 
     apply_b = _b_operator(g)
     x = np.ones(g.ne)
     est = 0.0
-    for it in range(max_iter):
+    for it in range(POWER_MAX_ITER):
         y = apply_b(x) + x
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             return 0.0, "nilpotent"
         new_est = nrm / np.linalg.norm(x)
         x = y / nrm
-        if abs(new_est - est) <= tol * max(1.0, new_est):
+        if abs(new_est - est) <= POWER_TOL * max(1.0, new_est):
             return new_est - 1.0, "power"
         est = new_est
     # squared-operator fallback for a stalled iteration
     x = np.ones(g.ne)
     est = 0.0
-    for it in range(max_iter):
+    for it in range(POWER_MAX_ITER):
         y = apply_b(apply_b(x))
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             return 0.0, "nilpotent"
         new_est = nrm / np.linalg.norm(x)
         x = y / nrm
-        if abs(new_est - est) <= tol * max(1.0, new_est):
+        if abs(new_est - est) <= POWER_TOL * max(1.0, new_est):
             return math.sqrt(new_est), "power-squared"
         est = new_est
     raise ArithmeticError("non-backtracking power iteration did not converge")

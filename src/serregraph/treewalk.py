@@ -15,8 +15,9 @@ They satisfy c[n][k] = u[n][k] * d * (d-1)^(k-1) for k >= 1 (the sphere at
 distance k has d*(d-1)^(k-1) exchangeable vertices) and c[n][0] = u[n][0].
 c[n][0] is also the number of nullcycles of length n at any vertex of any
 d-regular graph, which is why every other module consumes these tables.
-Tables live in memory only (tables_for). A build stores u; c comes from its
-own DP on first access, and nullcycle counts read u[n][0] instead.
+Tables live in memory only (tables_for), one per degree, grown in place. A
+build stores u; c is derived from u by that identity on first access, and
+nullcycle counts read u[n][0] instead.
 """
 
 from __future__ import annotations
@@ -31,11 +32,16 @@ from .exact import cmp_ratio_bound, rho_tree
 from .report import BoundReport, BoundViolation, report
 
 TABLE_FORMAT_VERSION = 1
-DEFAULT_NMAX = 512
+KM_TOL = 1e-10  # largest quadrature error kesten_mckay_moment accepts
 
 
 class TreeWalkTables:
-    """Immutable walk-count tables for one degree d up to length nmax."""
+    """Walk-count tables for one degree d up to length nmax.
+
+    Rows n = 0..nmax have nmax + 2 entries (k = 0..nmax + 1, zeros where
+    unreachable). tables_for grows a kept table in place; the rows that
+    existed before keep their values, only gaining zero columns.
+    """
 
     __slots__ = ("d", "nmax", "_c", "u")
 
@@ -45,41 +51,33 @@ class TreeWalkTables:
         if nmax < 0:
             raise ValueError("nmax must be >= 0")
         self.d = d
-        self.nmax = nmax
+        self.nmax = 0
+        self.u = [[1, 0]]
+        self._grow(nmax)
         self._c = _c
-        self.u = self._build_u(d, nmax)
 
     @property
     def c(self):
         if self._c is None:
-            self._c = self._build_c(self.d, self.nmax)
+            d = self.d
+            mult = [1] + [d * (d - 1) ** (k - 1) for k in range(1, self.nmax + 2)]
+            self._c = [[x * m for x, m in zip(row, mult)] for row in self.u]
         return self._c
 
-    @staticmethod
-    def _build_c(d, nmax):
-        # c[n][k], row n has entries k = 0..nmax, zeros where unreachable
-        width = nmax + 2  # one spare column so c[n-1][k+1] never indexes out
-        rows = [[0] * width for _ in range(nmax + 1)]
-        rows[0][0] = 1
-        for n in range(1, nmax + 1):
-            prev, cur = rows[n - 1], rows[n]
-            cur[0] = prev[1]
-            for k in range(1, n + 1):
-                mult = d if k == 1 else d - 1
-                cur[k] = mult * prev[k - 1] + prev[k + 1]
-        return rows
-
-    @staticmethod
-    def _build_u(d, nmax):
-        width = nmax + 2
-        rows = [[0] * width for _ in range(nmax + 1)]
-        rows[0][0] = 1
-        for n in range(1, nmax + 1):
-            prev, cur = rows[n - 1], rows[n]
+    def _grow(self, nmax):
+        """Extend u to length nmax: widen every row to nmax + 2 entries (the
+        spare column keeps prev[k + 1] in range) and append the new rows."""
+        d, width, rows = self.d, nmax + 2, self.u
+        for row in rows:
+            row.extend([0] * (width - len(row)))
+        for n in range(self.nmax + 1, nmax + 1):
+            prev, cur = rows[n - 1], [0] * width
             cur[0] = d * prev[1]
             for k in range(1, n + 1):
                 cur[k] = prev[k - 1] + (d - 1) * prev[k + 1]
-        return rows
+            rows.append(cur)
+        self.nmax = nmax
+        self._c = None
 
     # -- persistence ------------------------------------------------------
     # unused by the package; kept while perfbench/tracer.py binds both by name
@@ -119,13 +117,14 @@ _MEMO: dict[int, TreeWalkTables] = {}
 
 
 def tables_for(d: int, nmax: int) -> TreeWalkTables:
-    """Shared tables, grown on demand; the biggest build per degree is kept
-    in memory, nothing goes to disk, and c is derived on first access."""
+    """Shared tables, one per degree, kept in memory and grown in place on
+    demand, so a sampler holding them keeps drawing the same walks; nothing
+    goes to disk, and c is derived on first access."""
     t = _MEMO.get(d)
-    if t is not None and t.nmax >= nmax:
-        return t
-    t = TreeWalkTables(d, nmax)
-    _MEMO[d] = t
+    if t is None:
+        t = _MEMO[d] = TreeWalkTables(d, nmax)
+    elif t.nmax < nmax:
+        t._grow(nmax)
     return t
 
 
@@ -182,12 +181,12 @@ def check_return_bounds(d: int, nmax: int) -> list[BoundReport]:
     return out
 
 
-def kesten_mckay_moment(d: int, n: int, tol: float = 1e-10) -> float:
+def kesten_mckay_moment(d: int, n: int) -> float:
     """n-th moment of the tree spectral density by adaptive quadrature.
 
     Substituting t = rho*sin(theta) removes the inverse-square-root edge
     singularity; the quadrature then reaches machine accuracy. Raises if the
-    error estimate exceeds tol.
+    error estimate exceeds KM_TOL.
     """
     # imported here, its only use, so the CLI does not load scipy on every call
     from scipy import integrate
@@ -208,9 +207,10 @@ def kesten_mckay_moment(d: int, n: int, tol: float = 1e-10) -> float:
             s = rho * math.sin(th)
             return (d / (2.0 * math.pi)) * (rho * math.cos(th)) ** 2 * s ** n / (1.0 - s * s)
 
-    val, err = integrate.quad(f, -math.pi / 2, math.pi / 2, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200)
-    if err > tol:
-        raise RuntimeError(f"quadrature achieved only {err:.3e} > tol {tol:.3e}")
+    val, err = integrate.quad(f, -math.pi / 2, math.pi / 2, epsabs=KM_TOL * 1e-2,
+                              epsrel=KM_TOL * 1e-2, limit=200)
+    if err > KM_TOL:
+        raise RuntimeError(f"quadrature achieved only {err:.3e} > tol {KM_TOL:.3e}")
     return val
 
 
@@ -226,11 +226,10 @@ class ExcursionTables:
                    first-return count 2*w[n-2][0]/n for k = 0 (Catalan).
     """
 
-    __slots__ = ("nmax", "kmax")
+    __slots__ = ("nmax",)
 
-    def __init__(self, nmax: int, kmax: int | None = None):
+    def __init__(self, nmax: int):
         self.nmax = nmax
-        self.kmax = nmax if kmax is None else kmax
 
     def w(self, n: int, k: int) -> int:
         if k < 0 or k > n or (n + k) % 2:

@@ -546,6 +546,35 @@ def test_manifest_records_seeds(tmp_path, k4_path):
     assert m["params"]["seed"] == 17
 
 
+def test_manifest_lists_the_fleet_seeds_not_their_count(tmp_path):
+    man = tmp_path / "m.json"
+    args = ["--manifest", str(man), "limits", "fleet", "--d", "3", "--sizes", "16",
+            "--seeds", "3", "--kmax", "1", "--csv", str(tmp_path / "f.csv")]
+    assert main(args) == 0
+    m = json.loads(man.read_text())
+    assert m["seeds"] == [0, 1, 2]
+    assert m["params"]["seeds"] == 3
+
+
+@pytest.mark.parametrize("root", ["99", "-1"])
+def test_nullcycle_root_out_of_range_exit_one(pet_path, root, capsys):
+    args = ["nullcycle", "sample", "--in", pet_path, "--root", root, "--n", "4"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: root {root} is not a vertex (0..9)")
+
+
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_kappa_vertex_out_of_range_exit_one(pet_path, flag, capsys):
+    args = {"--x": "0", "--y": "0", flag: "99"}
+    argv = ["kappa", "--in", pet_path, "--k", "2", "--mmax", "2"]
+    for key, val in args.items():
+        argv += [key, val]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]} = 99 is not a vertex (0..9)")
+
+
 def test_bad_sgf_exit_one(tmp_path, capsys):
     p = tmp_path / "bad.sgf"
     p.write_text("not a graph\n")

@@ -360,6 +360,30 @@ def test_tables_for_memoizes_and_grows():
     assert c.nmax >= 12
 
 
+def test_tables_for_grows_the_kept_table_in_place(monkeypatch):
+    from serregraph.core import petersen
+    from serregraph.nullcycles import NullcycleSampler
+
+    monkeypatch.setattr(tw, "_MEMO", {})
+    init = tw.TreeWalkTables.__init__
+    builds = []
+
+    def counted(self, *args, **kw):
+        builds.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(tw.TreeWalkTables, "__init__", counted)
+    t = tw.tables_for(3, 400)
+    assert len(t.c) == 401
+    sampler = NullcycleSampler(petersen(), 0, 40)
+    before = list(sampler.draws(30, seed=5))
+    assert tw.tables_for(3, 600) is t and sampler.tables is t
+    assert builds == [(3, 400)]
+    assert list(sampler.draws(30, seed=5)) == before
+    fresh = tw.TreeWalkTables(3, 600)
+    assert t.nmax == 600 and t.u == fresh.u and t.c == fresh.c
+
+
 def _c_eager(d, nmax):
     """c[n][k] as the tables held it when every build ran this DP."""
     rows = [[0] * (nmax + 2) for _ in range(nmax + 1)]
