@@ -102,7 +102,9 @@ def thm_main_finite(
     rho_value, gamma_mean = _rho_and_gamma(g, k, rho_value, gamma_mean)
     size_ok = Hypothesis("|G| >= 8d", g.nv >= 8 * d, f"|G|={g.nv}, 8d={8*d}")
     lg = _logb(g.nv, b)
-    rhs = 1.0 + float(gamma_mean) / nu_k(d, k) - (1.5 * _logb(lg, b) + 6.0) / lg
+    # log_b log_b |G| is undefined on one vertex, where |G| >= 8d fails anyway
+    rhs = (1.0 + float(gamma_mean) / nu_k(d, k) - (1.5 * _logb(lg, b) + 6.0) / lg
+           if lg else math.nan)
     return report(
         f"main-finite-rho k={k}",
         lhs=rho_value / rho_tree(d),
@@ -136,7 +138,8 @@ def thm_main_ramanujan(
         f"rho={rho_value:.8f}, rho(T_d)={rho_tree(d):.8f}",
     )
     lg = _logb(g.nv, d)
-    bound = nu_k(d, k) * (1.5 * _logb(lg, d) + 6.0) / lg
+    # log_d log_d |G| is undefined on one vertex, where |G| >= 8d fails anyway
+    bound = nu_k(d, k) * (1.5 * _logb(lg, d) + 6.0) / lg if lg else math.nan
     return upper(
         f"main-ramanujan-gamma k={k}",
         value=float(gamma_mean),

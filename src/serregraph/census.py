@@ -38,7 +38,7 @@ def _count_closed_nontrivial(g: SerreGraph, v: int, k: int) -> int:
     # so every vertex the DFS enters has 2 dist(w) <= k. A vertex missing
     # from the capped map lies beyond k // 2 and would be pruned anyway.
     dist = distances_from(g, v, cap=k // 2)
-    inv = g.inv
+    dst, inv = g.dst, g.inv
     counts: dict[int, int] = {}
     total = 0
     unbal = 0
@@ -51,7 +51,7 @@ def _count_closed_nontrivial(g: SerreGraph, v: int, k: int) -> int:
                 total += 1
             return
         for e in g.out_edges(u):
-            w = g.dst[e]
+            w = dst[e]
             dw = dist.get(w)
             if dw is None or dw > left - 1:
                 continue
@@ -104,7 +104,7 @@ def gamma_k_mc(g: SerreGraph, v: int, k: int, samples: int, seed: int = 0) -> fl
     from .nullcycles import classify_cycle
     from .core import Walk
 
-    d = g.degree(v)
+    d, dst = g.degree(v), g.dst
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
@@ -113,7 +113,7 @@ def gamma_k_mc(g: SerreGraph, v: int, k: int, samples: int, seed: int = 0) -> fl
         for _ in range(k):
             e = rng.choice(g.out_edges(u))
             edges.append(e)
-            u = g.dst[e]
+            u = dst[e]
         if u == v and not classify_cycle(g, Walk(v, tuple(edges))).trivial:
             hits += 1
     return hits / samples * d ** k

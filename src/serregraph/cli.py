@@ -254,12 +254,16 @@ def _girth_report(g: SerreGraph) -> BoundReport:
     d = require_regular(g)
     beta = essential_girth_beta(d)
     eps = beta
-    eb = bounds.ess_girth_bound(g.nv, d, 1.0, beta, eps)
-    r_eff = math.floor(eb.radius)
+    # ln ln |G| is undefined below three vertices: no radius is promised there
+    if g.nv >= 3:
+        eb = bounds.ess_girth_bound(g.nv, d, 1.0, beta, eps)
+        radius, envelope, r_eff = eb.radius, eb.envelope, math.floor(eb.radius)
+    else:
+        radius, envelope, r_eff = math.nan, math.nan, 0
     hyp = Hypothesis(
         "floor(beta lnln|G|) >= 1",
         r_eff >= 1,
-        f"radius={eb.radius:.6f}: the promised tree-ball radius is below 1 "
+        f"radius={radius:.6f}: the promised tree-ball radius is below 1 "
         "until |G| is astronomically large",
     )
     prof = essential_girth_profile(g, max(1, r_eff))
@@ -267,13 +271,13 @@ def _girth_report(g: SerreGraph) -> BoundReport:
     return report(
         f"essential-girth beta={beta:.6f}",
         lhs=lhs,
-        rhs=1.0 - eb.envelope,
+        rhs=1.0 - envelope,
         hypotheses=(hyp,),
         constants={
             "beta": beta,
             "eps": eps,
-            "radius": eb.radius,
-            "envelope": eb.envelope,
+            "radius": radius,
+            "envelope": envelope,
             "tree_fraction_shown_at_r": max(1, r_eff),
         },
         notes="informational below radius 1: displayed fraction uses r=1",

@@ -6,10 +6,12 @@ degree of its vertex. A full loop is stored as two mutually inverse ids and
 contributes 2. Keeping the involution explicit makes loops, covers, and
 non-backtracking conditions unambiguous.
 
-A graph keeps src, dst and inv twice: as tuples of Python ints for the
-edge-by-edge steps of samplers, DFS and refinement (a tuple index costs a
-quarter of an ndarray scalar index), and as read-only int64 arrays for the
-vectorized kernels, which _edge_arrays returns.
+A graph is its src, dst and inv as read-only int64 arrays, which the
+vectorized kernels read through _edge_arrays. The edge-by-edge steps of
+samplers, DFS and refinement read tuple views of them instead (a tuple index
+costs a quarter of an ndarray scalar index); each view is built from its
+array on first use and kept, so a graph that only meets the kernels never
+holds its edges as Python ints.
 """
 
 from __future__ import annotations
@@ -41,13 +43,15 @@ def _index_table(cols) -> np.ndarray:
 class SerreGraph:
     """Immutable multigraph given by parallel edge arrays.
 
-    src[e], dst[e], inv[e] index directed edges 0..ne-1. The constructor
-    checks index ranges only; structural coherence of the involution is the
-    job of validate(), so that deliberately broken graphs can be built and
-    reported on.
+    src[e], dst[e], inv[e] index directed edges 0..ne-1. The graph stores
+    them only as read-only int64 arrays; the attributes src, dst and inv are
+    tuples of Python ints derived from those arrays on first read and kept,
+    as the out-edge table is. The constructor checks index ranges only;
+    structural coherence of the involution is the job of validate(), so that
+    deliberately broken graphs can be built and reported on.
     """
 
-    __slots__ = ("nv", "src", "dst", "inv", "name", "_arrays", "_deg", "_out")
+    __slots__ = ("nv", "name", "_arrays", "_deg", "_out", "_src", "_dst", "_inv", "_regular")
 
     def __init__(self, nv, src, dst, inv, name=None):
         self.nv = int(nv)
@@ -63,12 +67,37 @@ class SerreGraph:
             raise ValueError(f"edge {e} {'endpoint' if bad[:2, e].any() else 'involution id'} out of range")
         m.flags.writeable = False
         self._arrays = tuple(m)
-        self.src, self.dst, self.inv = map(tuple, m.tolist())
         self._deg = tuple(np.bincount(m[0], minlength=self.nv).tolist())
+
+    # The tuple views: per-edge loops read them into locals once per call,
+    # since a property read costs more than a slot read.
+    @property
+    def src(self):
+        try:
+            return self._src
+        except AttributeError:
+            self._src = tuple(self._arrays[0].tolist())
+            return self._src
+
+    @property
+    def dst(self):
+        try:
+            return self._dst
+        except AttributeError:
+            self._dst = tuple(self._arrays[1].tolist())
+            return self._dst
+
+    @property
+    def inv(self):
+        try:
+            return self._inv
+        except AttributeError:
+            self._inv = tuple(self._arrays[2].tolist())
+            return self._inv
 
     @property
     def ne(self):
-        return len(self.src)
+        return len(self._arrays[0])
 
     def out_edges(self, v):
         try:
@@ -88,10 +117,12 @@ class SerreGraph:
         return self._deg
 
     def half_loop_count(self, v):
-        return sum(1 for e in self.out_edges(v) if self.inv[e] == e)
+        inv = self.inv
+        return sum(1 for e in self.out_edges(v) if inv[e] == e)
 
     def full_loop_pairs(self, v):
-        return sum(1 for e in self.out_edges(v) if self.inv[e] != e and self.dst[e] == v) // 2
+        dst, inv = self.dst, self.inv
+        return sum(1 for e in self.out_edges(v) if inv[e] != e and dst[e] == v) // 2
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -119,11 +150,12 @@ class Walk:
         return len(self.edges)
 
     def vertices(self, g: SerreGraph) -> list[int]:
+        src, dst = g.src, g.dst
         vs = [self.start]
         for e in self.edges:
-            if g.src[e] != vs[-1]:
+            if src[e] != vs[-1]:
                 raise ValueError(f"edge {e} does not continue the walk")
-            vs.append(g.dst[e])
+            vs.append(dst[e])
         return vs
 
     def is_closed(self, g: SerreGraph) -> bool:
@@ -135,9 +167,10 @@ def reduce_word(g: SerreGraph, edges) -> tuple[int, ...]:
     """The edge word with adjacent inverse pairs erased until none is left
     (a half-loop is its own inverse, so a repeated one cancels too).
     Reduction is confluent, so one left-to-right stack pass suffices."""
+    inv = g.inv
     out = []
     for e in edges:
-        if out and out[-1] == g.inv[e]:
+        if out and out[-1] == inv[e]:
             out.pop()
         else:
             out.append(e)
@@ -160,9 +193,9 @@ def validate(g: SerreGraph) -> ValidationReport:
     problems = []
     for e in np.flatnonzero(bad_inv | bad_swap).tolist():
         if bad_inv[e]:
-            problems.append(f"edge {e}: inv(inv) = {g.inv[g.inv[e]]} != {e}")
+            problems.append(f"edge {e}: inv(inv) = {inv[inv[e]]} != {e}")
         if bad_swap[e]:
-            problems.append(f"edge {e}: inverse {g.inv[e]} does not swap endpoints")
+            problems.append(f"edge {e}: inverse {inv[e]} does not swap endpoints")
     degs = g.degrees
     regular = degs[0] if g.nv and all(x == degs[0] for x in degs) else None
     return ValidationReport(ok=not problems, regular_degree=regular,
@@ -170,12 +203,19 @@ def validate(g: SerreGraph) -> ValidationReport:
 
 
 def require_regular(g: SerreGraph) -> int:
+    """The degree of a valid regular graph; raises otherwise. The graph is
+    immutable, so the degree is validated once and kept on it."""
+    try:
+        return g._regular
+    except AttributeError:
+        pass
     rep = validate(g)
     if not rep.ok:
         raise ValueError("invalid graph: " + "; ".join(rep.problems[:3]))
     if rep.regular_degree is None:
         raise ValueError(f"graph is not regular: degrees {set(rep.degrees)}")
-    return rep.regular_degree
+    g._regular = rep.regular_degree
+    return g._regular
 
 
 # -- constructors ----------------------------------------------------------
@@ -310,6 +350,7 @@ def adjacency(g: SerreGraph) -> np.ndarray:
 
 
 def distances_from(g: SerreGraph, v: int, cap: int | None = None) -> dict[int, int]:
+    dst = g.dst
     dist = {v: 0}
     q = deque([v])
     while q:
@@ -317,7 +358,7 @@ def distances_from(g: SerreGraph, v: int, cap: int | None = None) -> dict[int, i
         if cap is not None and dist[u] >= cap:
             continue
         for e in g.out_edges(u):
-            w = g.dst[e]
+            w = dst[e]
             if w not in dist:
                 dist[w] = dist[u] + 1
                 q.append(w)
@@ -405,18 +446,19 @@ def tree_radius(g: SerreGraph, v: int, rmax: int) -> int:
     of its ends), and t(v) is the least such radius minus 1."""
     if rmax < 0:
         raise ValueError("radius must be >= 0")
+    dst, inv = g.dst, g.inv
     seen = {v: (0, -1)}  # vertex -> (distance, edge back to its parent)
     cut, q = rmax + 1, deque([v])
     while q and seen[q[0]][0] < cut:
         u = q.popleft()
         du, back = seen[u]
         for e in g.out_edges(u):
-            w = g.dst[e]
+            w = dst[e]
             if w in seen:
                 if e != back:
                     cut = min(cut, max(du, seen[w][0]))
             elif du < rmax:
-                seen[w] = (du + 1, g.inv[e])
+                seen[w] = (du + 1, inv[e])
                 q.append(w)
     return cut - 1
 
@@ -436,11 +478,12 @@ def induced_subgraph(g: SerreGraph, vertices) -> tuple[SerreGraph, list[int]]:
     old_to_new = {v: i for i, v in enumerate(new_to_old)}
     # out-edges of the kept vertices only, so a ball costs its own size;
     # sorting keeps g's edge-id order
-    keep = sorted(e for v in old_to_new for e in g.out_edges(v) if g.dst[e] in old_to_new)
+    gsrc, gdst, ginv = g.src, g.dst, g.inv
+    keep = sorted(e for v in old_to_new for e in g.out_edges(v) if gdst[e] in old_to_new)
     eid = {e: i for i, e in enumerate(keep)}
-    src = [old_to_new[g.src[e]] for e in keep]
-    dst = [old_to_new[g.dst[e]] for e in keep]
-    inv = [eid[g.inv[e]] for e in keep]
+    src = [old_to_new[gsrc[e]] for e in keep]
+    dst = [old_to_new[gdst[e]] for e in keep]
+    inv = [eid[ginv[e]] for e in keep]
     return SerreGraph(len(new_to_old), src, dst, inv, name=g.name), new_to_old
 
 
@@ -664,15 +707,17 @@ def schreier_quotient(gens, s_index: int) -> SchreierResult:
     # preserve endpoints and involution, and be a bijection on out-edges at
     # every vertex
     ok = True
+    csrc, cdst, cinv = cay.src, cay.dst, cay.inv
+    qdst, qinv = quotient.dst, quotient.inv
     for x in range(n):
         imgs = set()
         for i in range(k):
             e_cov = x * k + i
             e_q = coset_of[x] * k + i
-            if coset_of[cay.dst[e_cov]] != quotient.dst[e_q]:
+            if coset_of[cdst[e_cov]] != qdst[e_q]:
                 ok = False
-            ic = cay.inv[e_cov]
-            if coset_of[cay.src[ic]] * k + ic % k != quotient.inv[e_q]:
+            ic = cinv[e_cov]
+            if coset_of[csrc[ic]] * k + ic % k != qinv[e_q]:
                 ok = False
             imgs.add(e_q)
         if len(imgs) != quotient.degree(coset_of[x]):

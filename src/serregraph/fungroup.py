@@ -51,14 +51,16 @@ def is_nullhomotopic(g: SerreGraph, walk: Walk) -> bool:
 
 
 def _word_inv(g: SerreGraph, word) -> tuple[int, ...]:
-    return tuple(g.inv[e] for e in reversed(word))
+    inv = g.inv
+    return tuple(inv[e] for e in reversed(word))
 
 
 def _word_mul(g: SerreGraph, a, b) -> tuple[int, ...]:
     # both inputs reduced: only the seam can cancel
+    inv = g.inv
     i = len(a) - 1
     j = 0
-    while i >= 0 and j < len(b) and b[j] == g.inv[a[i]]:
+    while i >= 0 and j < len(b) and b[j] == inv[a[i]]:
         i -= 1
         j += 1
     return tuple(a[: i + 1]) + tuple(b[j:])
@@ -67,6 +69,7 @@ def _word_mul(g: SerreGraph, a, b) -> tuple[int, ...]:
 def _walks_between(g: SerreGraph, x: int, y: int, k: int, budget: int) -> list[tuple[int, ...]]:
     if k < 1:
         raise ValueError("k must be >= 1")
+    dst = g.dst
     out = []
     stack = [(x, ())]
     seen = 0
@@ -80,7 +83,7 @@ def _walks_between(g: SerreGraph, x: int, y: int, k: int, budget: int) -> list[t
             seen += 1
             if seen > budget:
                 raise ValueError(f"more than {budget} walk prefixes of length {k}")
-            stack.append((g.dst[e], prefix + (e,)))
+            stack.append((dst[e], prefix + (e,)))
     return out
 
 
@@ -88,13 +91,14 @@ def _path_to(g: SerreGraph, x: int, y: int) -> tuple[int, ...]:
     """Edge ids of a BFS-shortest walk x -> y."""
     if x == y:
         return ()
+    src, dst = g.src, g.dst
     prev = {x: None}
     frontier = [x]
     while frontier and y not in prev:
         nxt = []
         for v in frontier:
             for e in g.out_edges(v):
-                w = g.dst[e]
+                w = dst[e]
                 if w not in prev:
                     prev[w] = e
                     nxt.append(w)
@@ -106,7 +110,7 @@ def _path_to(g: SerreGraph, x: int, y: int) -> tuple[int, ...]:
     while v != x:
         e = prev[v]
         edges.append(e)
-        v = g.src[e]
+        v = src[e]
     return tuple(reversed(edges))
 
 

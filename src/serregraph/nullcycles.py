@@ -45,13 +45,14 @@ def classify_cycle(g: SerreGraph, walk: Walk) -> CycleClassification:
 
 def _unbalanced_edge(g: SerreGraph, edges) -> int | None:
     """classify_cycle's witness for a word known to be closed; None if trivial."""
+    inv = g.inv
     counts: dict[int, int] = {}
     for e in edges:
-        if g.inv[e] == e:
+        if inv[e] == e:
             return e
         counts[e] = counts.get(e, 0) + 1
     for e, c in counts.items():
-        if counts.get(g.inv[e], 0) != c:
+        if counts.get(inv[e], 0) != c:
             return e
     return None
 
@@ -67,6 +68,7 @@ def enumerate_nullcycles(g: SerreGraph, root: int, n: int) -> list[tuple[int, ..
     meant for n <= 10 cross-checks."""
     if n % 2:
         return []
+    dst, inv = g.dst, g.inv
     res: list[tuple[int, ...]] = []
 
     def rec(v, stack, prefix):
@@ -77,10 +79,10 @@ def enumerate_nullcycles(g: SerreGraph, root: int, n: int) -> list[tuple[int, ..
         if len(stack) > n - len(prefix):
             return
         for e in g.out_edges(v):
-            if stack and e == g.inv[stack[-1]]:
-                rec(g.dst[e], stack[:-1], prefix + [e])
+            if stack and e == inv[stack[-1]]:
+                rec(dst[e], stack[:-1], prefix + [e])
             else:
-                rec(g.dst[e], stack + [e], prefix + [e])
+                rec(dst[e], stack + [e], prefix + [e])
 
     rec(root, [], [])
     return res
@@ -163,6 +165,7 @@ def sampler_distribution(g: SerreGraph, root: int, n: int) -> dict[tuple[int, ..
     if n % 2:
         raise ValueError("nullcycles have even length")
     u = tables_for(d, max(n, 2)).u
+    dst, inv = g.dst, g.inv
     out: dict[tuple[int, ...], Fraction] = {}
 
     def rec(v, stack, prefix, prob):
@@ -176,17 +179,17 @@ def sampler_distribution(g: SerreGraph, root: int, n: int) -> dict[tuple[int, ..
         if k == 0:
             w = Fraction(u[m - 1][1], total)
             for e in g.out_edges(v):
-                rec(g.dst[e], stack + [e], prefix + [e], prob * w)
+                rec(dst[e], stack + [e], prefix + [e], prob * w)
         else:
-            back = g.inv[stack[-1]]
+            back = inv[stack[-1]]
             pdown = Fraction(u[m - 1][k - 1], total)
             if pdown:
-                rec(g.dst[back], stack[:-1], prefix + [back], prob * pdown)
+                rec(dst[back], stack[:-1], prefix + [back], prob * pdown)
             wup = Fraction(u[m - 1][k + 1], total)
             if wup:
                 for e in g.out_edges(v):
                     if e != back:
-                        rec(g.dst[e], stack + [e], prefix + [e], prob * wup)
+                        rec(dst[e], stack + [e], prefix + [e], prob * wup)
 
     rec(root, [], [], Fraction(1))
     return out

@@ -89,8 +89,7 @@ def _orbits(n, gens):
 
 def _ahu_string(g: SerreGraph, dist) -> str:
     children = [[] for _ in range(g.nv)]
-    for e in range(g.ne):
-        u, w = g.src[e], g.dst[e]
+    for u, w in zip(g.src, g.dst):
         if dist[w] == dist[u] + 1:
             children[u].append(w)
 
@@ -105,7 +104,8 @@ def _canonical_records(b: Ball) -> tuple:
     g, n = b.graph, b.graph.nv
     hl = [g.half_loop_count(v) for v in range(n)]
     fl = [g.full_loop_pairs(v) for v in range(n)]
-    nbr = [[g.dst[e] for e in g.out_edges(v) if g.dst[e] != v] for v in range(n)]
+    dst = g.dst
+    nbr = [[dst[e] for e in g.out_edges(v) if dst[e] != v] for v in range(n)]
     mult = [Counter(ws).items() for ws in nbr]
     seed = [(b.dist[v], g.degree(v), hl[v], fl[v]) for v in range(n)]
     root_colors = _refine(_rank(seed), nbr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ class PercolationWindow:
     border_distance is the cluster-metric distance from the origin to the
     nearest cluster vertex on the window edge, None when the cluster stays
     interior (then it is the whole lattice component, nothing was cut).
+    cell_x and cell_y are the lattice coordinates of the cluster vertices.
     """
 
     width: int
@@ -51,8 +53,14 @@ class PercolationWindow:
     open_mask: np.ndarray
     cluster: SerreGraph
     cluster_root: int
-    coords: tuple[tuple[int, int], ...]
+    cell_x: np.ndarray
+    cell_y: np.ndarray
     border_distance: int | None
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        """(x, y) of each cluster vertex, built on first access and kept."""
+        return tuple(zip(self.cell_x.tolist(), self.cell_y.tolist()))
 
     @property
     def origin(self) -> tuple[int, int]:
@@ -92,7 +100,8 @@ def percolate(width: int, height: int, p: float, seed) -> PercolationWindow:
 
     if not mask[ox, oy]:
         empty = SerreGraph(0, (), (), (), name=f"percolation-cluster p={p}")
-        return PercolationWindow(width, height, p, seed, mask, empty, -1, (), None)
+        no_cells = np.zeros(0, dtype=np.int64)
+        return PercolationWindow(width, height, p, seed, mask, empty, -1, no_cells, no_cells, None)
 
     # frontier-array BFS on the mask padded with closed cells and flattened:
     # (x, y) is i = (x+1)*h + y+1; (x-1,y), (x+1,y), (x,y-1), (x,y+1) are i-h, i+h, i-1, i+1
@@ -127,8 +136,7 @@ def percolate(width: int, height: int, p: float, seed) -> PercolationWindow:
 
     on_border = (x == 0) | (x == width - 1) | (y == 0) | (y == height - 1)
     border = int(dist[on_border].min()) if on_border.any() else None
-    coords = tuple(zip(x.tolist(), y.tolist()))
-    return PercolationWindow(width, height, p, seed, mask, cluster, 0, coords, border)
+    return PercolationWindow(width, height, p, seed, mask, cluster, 0, x, y, border)
 
 
 def cover_sphere_sizes(g: SerreGraph, root: int, nmax: int) -> list[int]:
@@ -138,17 +146,19 @@ def cover_sphere_sizes(g: SerreGraph, root: int, nmax: int) -> list[int]:
     reduced length-n paths out of the root. Half-loops are never stepped:
     they do not move in the cover, which keeps tree inputs and clusters
     regularized with half-loops on the same footing, so the count runs on
-    the graph without them. Counts are exact, in uint64 while the
+    the graph without them (on the graph's own arrays when it has none, as a
+    percolation cluster never does). Counts are exact, in uint64 while the
     d(d-1)^(n-1) cap fits and in Python ints after that.
     """
     if not 0 <= root < g.nv:
         raise ValueError("root out of range")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    src, dst, inv = _edge_arrays(g)
+    edges = src, dst, inv = _edge_arrays(g)
     keep = inv != np.arange(g.ne)
-    renumber = np.cumsum(keep) - 1
-    edges = (src[keep], dst[keep], renumber[inv[keep]])
+    if not keep.all():
+        renumber = np.cumsum(keep) - 1
+        edges = (src[keep], dst[keep], renumber[inv[keep]])
     return [int(c.sum()) for c in _walk_inflows(g.nv, edges, root, nmax, reduced=True)]
 
 

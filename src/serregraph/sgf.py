@@ -25,8 +25,8 @@ def dumps(g: SerreGraph) -> str:
     out = [f"sgf {FORMAT_VERSION} {g.nv} {g.ne}"]
     if g.name:
         out.append(f"# {g.name}")
-    for e in range(g.ne):
-        out.append(f"e {e} {g.src[e]} {g.dst[e]} {g.inv[e]}")
+    for e, (u, w, i) in enumerate(zip(g.src, g.dst, g.inv)):
+        out.append(f"e {e} {u} {w} {i}")
     return "\n".join(out) + "\n"
 
 

@@ -48,6 +48,7 @@ def markov_matrix(g: SerreGraph) -> np.ndarray:
 
 
 def is_bipartite(g: SerreGraph) -> bool:
+    dst = g.dst
     color = {}
     for comp in connected_components(g):
         start = comp[0]
@@ -56,7 +57,7 @@ def is_bipartite(g: SerreGraph) -> bool:
         while stack:
             v = stack.pop()
             for e in g.out_edges(v):
-                w = g.dst[e]
+                w = dst[e]
                 if w not in color:
                     color[w] = 1 - color[v]
                     stack.append(w)
@@ -266,9 +267,9 @@ def hashimoto_matrix(g: SerreGraph) -> np.ndarray:
     if g.ne > 4000:
         raise ValueError("dense operator too large; use the matrix-free path")
     B = np.zeros((g.ne, g.ne), dtype=np.float64)
-    for e in range(g.ne):
-        for f in g.out_edges(g.dst[e]):
-            if f != g.inv[e]:
+    for e, (w, back) in enumerate(zip(g.dst, g.inv)):
+        for f in g.out_edges(w):
+            if f != back:
                 B[e, f] = 1.0
     return B
 
@@ -312,7 +313,7 @@ def hashimoto_perron(g: SerreGraph) -> tuple[float, str]:
     """
     if g.ne == 0:
         return 0.0, "empty"
-    rowsums = {g.degree(g.dst[e]) - 1 for e in range(g.ne)}
+    rowsums = {g.degree(w) - 1 for w in g.dst}
     if len(rowsums) == 1:
         return float(rowsums.pop()), "row-sums"
     if not has_cycle(g):
@@ -432,6 +433,6 @@ def rayleigh_lower_bound(b: Ball, d: int, R: int) -> float:
         raise AssertionError("radial weight not normalized")
     g = b.graph
     f = [radial_weight(d, b.dist[v]) if b.dist[v] <= R else 0.0 for v in range(g.nv)]
-    num = sum(f[g.src[e]] * f[g.dst[e]] for e in range(g.ne)) / d
+    num = sum(f[u] * f[w] for u, w in zip(g.src, g.dst)) / d
     den = sum(x * x for x in f)
     return num / den

@@ -217,54 +217,45 @@ def kesten_mckay_moment(d: int, n: int) -> float:
 # -- excursions on Z -------------------------------------------------------
 
 
-class ExcursionTables:
-    """Counts of simple-walk paths on Z.
+def z_paths(n: int, k: int) -> int:
+    """Simple-walk paths 0 -> k on Z in n steps: C(n, (n+k)/2), 0 if unreachable."""
+    if k < 0 or k > n or (n + k) % 2:
+        return 0
+    return math.comb(n, (n + k) // 2)
 
-    w[n][k]      = C(n, (n+k)/2), paths 0 -> k in n steps (0 if unreachable)
-    wplus[n][k]  = paths 0 -> k in n steps staying positive after time 0;
-                   (k/n) * w[n][k] by the ballot theorem for k >= 1, and the
-                   first-return count 2*w[n-2][0]/n for k = 0 (Catalan).
-    """
 
-    __slots__ = ("nmax",)
-
-    def __init__(self, nmax: int):
-        self.nmax = nmax
-
-    def w(self, n: int, k: int) -> int:
-        if k < 0 or k > n or (n + k) % 2:
+def z_positive_paths(n: int, k: int) -> int:
+    """Simple-walk paths 0 -> k on Z in n steps staying positive after time 0:
+    (k/n) z_paths(n, k) by the ballot theorem for k >= 1, and the first-return
+    count 2 z_paths(n-2, 0)/n for k = 0 (Catalan)."""
+    if n == 0:
+        return 1 if k == 0 else 0
+    if k == 0:
+        if n % 2 or n < 2:
             return 0
-        return math.comb(n, (n + k) // 2)
-
-    def wplus(self, n: int, k: int) -> int:
-        if n == 0:
-            return 1 if k == 0 else 0
-        if k == 0:
-            if n % 2 or n < 2:
-                return 0
-            return 2 * math.comb(n - 2, (n - 2) // 2) // n
-        if k > n or (n + k) % 2:
-            return 0
-        return k * math.comb(n, (n + k) // 2) // n
+        return 2 * math.comb(n - 2, (n - 2) // 2) // n
+    if k > n or (n + k) % 2:
+        return 0
+    return k * math.comb(n, (n + k) // 2) // n
 
 
 def excursion_visits_z(k: int, n: int) -> Fraction:
     """Expected visits to level k by the uniform positive excursion of length n.
 
-    v_{k,n} = sum_m wplus[m][k] * wplus[n-m][k] / wplus[n][0]. The 64k bound
-    is asserted exactly and its failure would be reported, not hidden.
+    v_{k,n} = sum_m w+(m, k) w+(n-m, k) / w+(n, 0) with w+ = z_positive_paths.
+    The 64k bound is asserted exactly and its failure would be reported, not
+    hidden.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    tabs = ExcursionTables(n)
-    denom = tabs.wplus(n, 0)
+    denom = z_positive_paths(n, 0)
     total = 0
     for m in range(k, n - k + 1):
         if (m + k) % 2:
             continue
-        total += tabs.wplus(m, k) * tabs.wplus(n - m, k)
+        total += z_positive_paths(m, k) * z_positive_paths(n - m, k)
     v = Fraction(total, denom)
     if not v <= 64 * k:
         raise BoundViolation(f"excursion visit bound failed: v_{{{k},{n}}} = {v} > {64*k}")

@@ -266,6 +266,24 @@ def test_bounds_girth_output_is_pinned(tmp_path, capsys):
     assert out.out == GIRTH_CFG3_64 and out.err == ""
 
 
+@pytest.mark.parametrize("fixture", ["rose2.sgf", "hlrose3.sgf"])
+def test_bounds_one_vertex_rows_not_applicable(fixture, tmp_path, capsys):
+    # log log |G| is undefined at |G| = 1: each suite that takes it gives a
+    # gated row with no right side, not an error
+    assert main(["fixtures", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path = str(tmp_path / fixture)
+    args = ["bounds", "verify", "--in", path, "--suite", "main,ramanujan,girth"]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    rows = [line.split(",") for line in out.out.strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["main"] * 3 + ["ramanujan"] * 3 + ["girth"]
+    for r in rows:
+        assert r[3] == "not applicable" and r[5] == "nan" and r[8]
+    assert all("|G| >= 8d" in r[8] for r in rows[:6])
+
+
 def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatch):
     import csv
     import io

@@ -366,6 +366,40 @@ def test_edge_arrays_are_kept_and_read_only():
             a[0] = 1
 
 
+def test_tuple_views_are_built_from_the_arrays_on_first_read_and_kept():
+    for g in (petersen(), half_loop_rose(3), disjoint_union(rose(2), cycle_graph(5)),
+              SerreGraph(0, (), (), ())):
+        assert not any(hasattr(g, slot) for slot in ("_src", "_dst", "_inv"))
+        assert g.ne == len(_edge_arrays(g)[0])
+        for name, a in zip(("src", "dst", "inv"), _edge_arrays(g)):
+            view = getattr(g, name)
+            assert type(view) is tuple and all(type(x) is int for x in view)
+            assert view == tuple(int(x) for x in a)
+            assert getattr(g, name) is view is getattr(g, "_" + name)
+    # each view is built on its own: reading src leaves dst and inv unbuilt
+    g = petersen()
+    g.src
+    assert not hasattr(g, "_dst") and not hasattr(g, "_inv")
+
+
+def test_require_regular_validates_once_and_keeps_raising(monkeypatch):
+    calls = []
+    real = core.validate
+    monkeypatch.setattr(core, "validate", lambda g: calls.append(g) or real(g))
+    g = petersen()
+    assert [core.require_regular(g) for _ in range(3)] == [3, 3, 3]
+    assert calls == [g]
+    broken = SerreGraph(2, [0, 1], [1, 0], [0, 1])  # the inverses do not swap ends
+    irregular = from_edges(3, [(0, 1), (1, 2)])
+    for h, want in ((broken, "invalid graph: edge 0: inverse 0 does not swap endpoints; "
+                             "edge 1: inverse 1 does not swap endpoints"),
+                    (irregular, "graph is not regular: degrees {1, 2}")):
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                core.require_regular(h)
+            assert str(exc.value) == want
+
+
 def test_out_edges_and_degrees_match_a_scan_of_src():
     graphs = [petersen(), rose(2), half_loop_rose(3), prism(6),
               disjoint_union(cycle_graph(4), complete_graph(5)),

@@ -1,6 +1,7 @@
 """Window percolation, cover sphere counts, and the growth estimate."""
 
 import math
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -68,23 +69,23 @@ def _reference_window(width, height, p, seed):
 # -- windows ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "width,height,p,seed",
-    [
-        (1, 1, 1.0, 0),  # one open cell, on the border
-        (1, 1, 0.0, 0),  # closed origin
-        (1, 40, 0.95, 2),
-        (40, 1, 0.95, 3),
-        (1, 40, 1.0, 0),
-        (40, 1, 1.0, 0),
-        (9, 7, 0.0, 4),  # p = 0
-        (9, 7, 1.0, 4),  # p = 1
-        (15, 15, 0.2, 1),  # closed origin at low p
-        (25, 25, 0.5, 8),  # small interior cluster
-        (30, 20, 0.8, 6),  # cluster reaching the border
-        (300, 300, 0.9, 5),
-    ],
-)
+WINDOWS = [
+    (1, 1, 1.0, 0),  # one open cell, on the border
+    (1, 1, 0.0, 0),  # closed origin
+    (1, 40, 0.95, 2),
+    (40, 1, 0.95, 3),
+    (1, 40, 1.0, 0),
+    (40, 1, 1.0, 0),
+    (9, 7, 0.0, 4),  # p = 0
+    (9, 7, 1.0, 4),  # p = 1
+    (15, 15, 0.2, 1),  # closed origin at low p
+    (25, 25, 0.5, 8),  # small interior cluster
+    (30, 20, 0.8, 6),  # cluster reaching the border
+    (300, 300, 0.9, 5),
+]
+
+
+@pytest.mark.parametrize("width,height,p,seed", WINDOWS)
 def test_window_matches_the_deque_bfs(width, height, p, seed):
     mask, ref = _reference_window(width, height, p, seed)
     w = percolate(width, height, p, seed)
@@ -99,6 +100,36 @@ def test_window_matches_the_deque_bfs(width, height, p, seed):
     counts = Counter(src)
     assert g.degrees == tuple(counts[v] for v in range(len(coords)))
     assert w.border_distance == border
+
+
+@pytest.mark.parametrize("width,height,p,seed", WINDOWS)
+def test_coords_equal_the_eager_tuple_and_are_kept(width, height, p, seed):
+    w = percolate(width, height, p, seed)
+    assert "coords" not in vars(w)
+    eager = tuple(zip(w.cell_x.tolist(), w.cell_y.tolist()))
+    assert w.coords == eager and all(type(c) is int for xy in w.coords for c in xy)
+    assert w.coords is w.coords
+    assert len(w.coords) == w.cluster.nv
+
+
+def test_growth_leaves_the_cluster_tuple_views_unbuilt():
+    w = percolate(60, 60, 0.9, 5)
+    window_growth(w, 12)
+    assert not any(hasattr(w.cluster, slot) for slot in ("_src", "_dst", "_inv", "_out"))
+    assert "coords" not in vars(w)
+
+
+def test_window_growth_peak_memory_stays_small():
+    # a 300x300 window at p = 0.9 holds ~81k vertices and ~290k directed
+    # edges; keeping them as Python-int tuples put the traced peak at ~64 MB
+    tracemalloc.start()
+    try:
+        w = percolate(300, 300, 0.9, 5)
+        window_growth(w, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_reference_cases_cover_closed_origins_and_borders():
