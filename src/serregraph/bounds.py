@@ -27,7 +27,6 @@ __all__ = [
     "thm_main_finite",
     "thm_main_ramanujan",
     "thm_main_returns",
-    "return_diagonals",
     "thm_43_lower",
     "lemma_visits_lower",
     "distance_gap",
@@ -150,18 +149,6 @@ def thm_main_ramanujan(
     )
 
 
-def return_diagonals(g: SerreGraph, nks) -> dict:
-    """Exact diag(A^nk) for each even nk in nks with d^nk < 2^53, from one
-    shared matrix-power chain. Lengths outside that float64-exact window are
-    left out; mean_log_return counts those with the walk kernel."""
-    d = require_regular(g)
-    fits = sorted({nk for nk in nks if nk % 2 == 0 and d ** nk < 2 ** 53})
-    if not fits:
-        return {}
-    diag = diag_power_counts_batch(g, [nk // 2 for nk in fits])
-    return {nk: diag[nk // 2] for nk in fits}
-
-
 def _closed_walks(g: SerreGraph, o: int, nk: int) -> int:
     """Exact closed nk-walk count at o: the kernel run to its last row only."""
     for inflow in _walk_inflows(g.nv, _edge_arrays(g), o, nk, reduced=False):
@@ -170,17 +157,13 @@ def _closed_walks(g: SerreGraph, o: int, nk: int) -> int:
 
 
 def mean_log_return(g: SerreGraph, nk: int, diag_counts=None) -> float:
-    """Average over vertices of log p_nk(o,o), from exact walk counts."""
+    """Average over vertices of log p_nk(o,o) from exact counts: diag_counts,
+    or else diag(A^nk) from diag_power_counts_batch."""
     d = require_regular(g)
     if nk % 2:
         raise ValueError("nk must be even")
     if diag_counts is None:
-        diag_counts = return_diagonals(g, (nk,)).get(nk)
-    if diag_counts is None:
-        if g.nv * g.ne * nk <= 2 * 10 ** 7:
-            diag_counts = [_closed_walks(g, o, nk) for o in range(g.nv)]
-        else:
-            raise ValueError("exact return diagonal out of budget for this size")
+        diag_counts = diag_power_counts_batch(g, (nk // 2,))[nk // 2]
     total = 0.0
     for c in diag_counts:
         c = int(c)
@@ -205,6 +188,8 @@ def thm_main_returns(
     """
     d = require_regular(g)
     _check_dk(d, k)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     nk = n * k
     if nk % 2:
         raise ValueError("nk must be even")
@@ -265,6 +250,8 @@ def thm_43_lower(
         rhs = total / 14.0
         tol = 1e-9 * (1.0 + abs(rhs))
     else:
+        if samples < 2:
+            raise ValueError("samples must be >= 2")
         s = NullcycleSampler(g, root, nk)
         vals = [
             math.exp(ck * chi_statistic(g, w, k, lv) / lv) for w in s.draws(samples, seed)
@@ -331,6 +318,8 @@ def lemma_visits_lower(
         lhs = hits / len(walks)
         tol = 1e-12
     else:
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         s = NullcycleSampler(g, root, n)
         hits = sum(_segment_indicator(g, w, k, lv) for w in s.draws(samples, seed))
         p = hits / samples

@@ -104,6 +104,8 @@ def gamma_k_mc(g: SerreGraph, v: int, k: int, samples: int, seed: int = 0) -> fl
     from .nullcycles import classify_cycle
     from .core import Walk
 
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     d, dst = g.degree(v), g.dst
     rng = random.Random(seed)
     hits = 0

@@ -51,7 +51,7 @@ from .nullcycles import NullcycleSampler, chi_statistic
 from .percolation import percolate, window_growth
 from .report import BoundReport, Hypothesis, report
 from .sgf import SGFError, dumps as sgf_dumps, load_path
-from .spectral import markov_spectrum, nonbacktracking_cogrowth
+from .spectral import diag_power_counts_batch, markov_spectrum, nonbacktracking_cogrowth
 
 SUITES = ("main", "ramanujan", "returns", "chi", "visits", "girth")
 
@@ -297,7 +297,8 @@ def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
         ]
     if suite == "returns":
         nn = n if n is not None else 4
-        diag = bounds.return_diagonals(g, [nn * k for k in ks])
+        ts = {nn * k // 2 for k in ks if nn * k > 0 and nn * k % 2 == 0}
+        diag = diag_power_counts_batch(g, ts) if ts else {}
         # an odd nk is a parity error, raised before any census is taken
         return [
             (
@@ -307,7 +308,7 @@ def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
                     nn,
                     k,
                     gamma_mean=gamma(k) if nn * k % 2 == 0 else None,
-                    diag_counts=diag.get(nn * k),
+                    diag_counts=diag.get(nn * k // 2),
                 ),
             )
             for k in ks

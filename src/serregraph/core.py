@@ -384,13 +384,13 @@ def _step(x: np.ndarray, inflow: np.ndarray, src: np.ndarray, inv=None, out=(Non
     """x' = inflow[src]; reduced walks (inv given) drop the reversal x[inv].
     out may name two buffers shaped like x to write x' and x[inv] to; mode
     "clip" keeps np.take from buffering them (the indices are checked edges)."""
-    nxt = np.take(inflow, src, out=out[0], mode="clip")
+    nxt = np.take(inflow, src, axis=0, out=out[0], mode="clip")
     if inv is not None:
-        nxt -= np.take(x, inv, out=out[1], mode="clip")
+        nxt -= np.take(x, inv, axis=0, out=out[1], mode="clip")
     return nxt
 
 
-def _walk_inflows(nv: int, edges, o: int, nmax: int, reduced: bool):
+def _walk_inflows(nv: int, edges, o, nmax: int, reduced: bool):
     """Exact counts of the walks out of o by edge-indexed propagation.
 
     Yields inflow_n for n = 0..nmax: inflow_n[v] counts the length-n walks
@@ -400,16 +400,25 @@ def _walk_inflows(nv: int, edges, o: int, nmax: int, reduced: bool):
     walks into src(e), exactly those that arrived by inv(e) would backtrack
     along e.
 
+    o is one vertex, or a 1-D block of B roots propagated together: then x
+    is (ne, B), inflow is (nv, B) and column j counts the walks from o[j].
+
     Counts run in uint64 while the max-degree cap (D^n for all walks,
     D(D-1)^(n-1) for reduced walks) is below 2^64, and in Python ints
     (object arrays) after that.
     """
     src, dst, inv = edges
     dmax = int(np.bincount(src).max()) if len(src) else 0
-    x = np.zeros(len(src), dtype=np.uint64)
+    cols = np.shape(o)
+    x = np.zeros((len(src),) + cols, dtype=np.uint64)
     spare = (np.empty_like(x), np.empty_like(x))
-    inflow = np.zeros(nv, dtype=np.uint64)
-    inflow[o] = 1
+    inflow = np.zeros((nv,) + cols, dtype=np.uint64)
+    if cols:
+        # a block adds into the flat (nv * B) inflow: edge e, root j -> dst[e] * B + j
+        inflow[o, np.arange(cols[0])] = 1
+        dst = (dst[:, None] * cols[0] + np.arange(cols[0])).ravel()
+    else:
+        inflow[o] = 1
     yield inflow
     for n in range(1, nmax + 1):
         cap = dmax * (dmax - 1) ** (n - 1) if reduced else dmax ** n
@@ -419,7 +428,7 @@ def _walk_inflows(nv: int, edges, o: int, nmax: int, reduced: bool):
         # the step writes into spare[0] and the old x becomes the next spare,
         # so no edge-sized array is allocated per step
         x, spare = _step(x, inflow, src, inv if reduced else None, spare), (x, spare[1])
-        inflow = _inflow(x, dst, nv)
+        inflow = _inflow(x.ravel(), dst, inflow.size).reshape(inflow.shape)
         yield inflow
 
 

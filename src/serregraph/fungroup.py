@@ -243,6 +243,8 @@ def kappa_estimate(
     nw = len(words)
 
     if method == "mc":
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         rng = random.Random(seed)
         inv_words = [_word_inv(g, gw) for gw in words]
         hits = [0] * mmax

@@ -206,6 +206,8 @@ def chi_statistic(g: SerreGraph, walk: Walk, k: int, ell: int) -> int:
     base point picks up its wrap-around visit; the count includes the
     segment's own base time.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     nk = len(walk.edges)
     if nk % k:
         raise ValueError("walk length must be divisible by k")
@@ -233,7 +235,10 @@ def nonbacktracking_hit_fractions(g: SerreGraph, root: int, targets, nmax: int) 
     the root ends in A. Exact integer path counts over d (d-1)^(k-1); q_k is
     0 where no reduced k-path exists (d = 1, k >= 2)."""
     d = require_regular(g)
-    hit = [v for v in set(targets) if 0 <= v < g.nv]
+    hit = sorted(set(targets))
+    for v in hit:
+        if not 0 <= v < g.nv:
+            raise ValueError(f"target {v} is not a vertex (0..{g.nv - 1})")
     out = []
     for k, c in enumerate(_walk_inflows(g.nv, _edge_arrays(g), root, nmax, reduced=True)):
         paths = d * (d - 1) ** (k - 1) if k else 1

@@ -40,6 +40,8 @@ WINDOW_GUARD = 1e-9
 # converged, and the step cap of each of its two passes
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 100000
+# edge steps (nv * ne * t) diag_power_counts_batch may take
+DIAG_STEP_BUDGET = 2 * 10 ** 9
 
 
 def markov_matrix(g: SerreGraph) -> np.ndarray:
@@ -171,47 +173,36 @@ def return_probability_dp(g: SerreGraph, o: int, nmax: int) -> list[Fraction]:
     return [Fraction(counts[n][o], d ** n) for n in range(nmax + 1)]
 
 
-def diag_power_counts(g: SerreGraph, t: int) -> np.ndarray:
-    """diag(A^(2t)) exactly, as int64.
-
-    Uses float64 BLAS: entries of A^t are bounded by d^t and the diagonal of
-    A^(2t) by d^(2t), so everything stays below 2^53 when d^(2t) does; the
-    row-sum-of-squares identity gives the even-power diagonal from A^t.
-    """
-    return diag_power_counts_batch(g, (t,))[t]
-
-
 def diag_power_counts_batch(g: SerreGraph, ts) -> dict[int, np.ndarray]:
-    """diag(A^(2t)) for each t in ts, sharing one matrix-power chain.
+    """Exact diag(A^(2t)) for each t in ts: diag(A^(2t))[o] = sum_w (A^t)[o, w]^2,
+    with row o of A^t from one walk-kernel run per block of roots o.
 
-    Same exactness window as diag_power_counts; the chain costs one matmul
-    per distinct power step instead of t matmuls per query.
+    Squares are summed in uint64 while d^(2t) < 2^64, in Python ints past it;
+    a diagonal is int64 while d^(2t) < 2^63, Python ints past it. The runs take
+    nv * ne * max(ts) edge steps, at most DIAG_STEP_BUDGET.
     """
     d = require_regular(g)
     ts = sorted(set(int(t) for t in ts))
     if not ts or ts[0] < 1:
         raise ValueError("powers must be >= 1")
-    if d ** (2 * ts[-1]) >= 2 ** 53:
-        raise ValueError("counts would exceed exact float64 range")
-    A = adjacency(g).astype(np.float64)
-    memo = {1: A}
-
-    def apow(k: int) -> np.ndarray:
-        if k not in memo:
-            if k % 2:
-                memo[k] = apow(k - 1) @ A
-            else:
-                h = apow(k // 2)
-                memo[k] = h @ h
-        return memo[k]
-
-    out = {}
-    cur = apow(ts[0])
-    out[ts[0]] = np.rint((cur * cur).sum(axis=1)).astype(np.int64)
-    for prev, t in zip(ts, ts[1:]):
-        cur = cur @ apow(t - prev)
-        out[t] = np.rint((cur * cur).sum(axis=1)).astype(np.int64)
-    return out
+    steps = g.nv * g.ne * ts[-1]
+    if steps > DIAG_STEP_BUDGET:
+        raise ValueError(f"return diagonals need nv*ne*t = {steps} edge steps, "
+                         f"over the budget of {DIAG_STEP_BUDGET}")
+    edges = _edge_arrays(g)
+    # up to 128 roots a run; (ne, block) count arrays of about 2^18 entries ran
+    # fastest on cfg(3, n) for n = 512..4096
+    block = min(128, max(1, 2 ** 18 // max(g.ne, 1)))
+    parts = {t: [] for t in ts}
+    for start in range(0, g.nv, block):
+        roots = np.arange(start, min(start + block, g.nv))
+        for t, inflow in enumerate(_walk_inflows(g.nv, edges, roots, ts[-1], reduced=False)):
+            if t in parts:
+                if d ** (2 * t) >= 2 ** 64:
+                    inflow = inflow.astype(object)
+                parts[t].append((inflow * inflow).sum(axis=0))
+    return {t: np.concatenate(p).astype(np.int64 if d ** (2 * t) < 2 ** 63 else object)
+            for t, p in parts.items()}
 
 
 # -- hitting probabilities ---------------------------------------------------

@@ -137,14 +137,28 @@ def test_closed_walk_counts_read_only_the_last_row():
                 assert type(got) is int and got == walk_counts(g, o, nk)[nk][o]
 
 
-def test_mean_log_return_fallback_and_chi_lower_use_exact_counts():
+def test_mean_log_return_past_float64_and_chi_lower_use_exact_counts():
     g = configuration_model(3, 64, seed=0)
-    nk = 40  # 3^40 >= 2^53: past the matrix-power chain, so the per-root fallback runs
-    assert bounds.return_diagonals(g, (nk,)) == {}
+    nk = 40  # 3^40 >= 2^63: the diagonal route sums its squares in Python ints
     diag = [walk_counts(g, o, nk)[nk][o] for o in range(g.nv)]
     assert bounds.mean_log_return(g, nk) == bounds.mean_log_return(g, nk, diag_counts=diag)
     rep = bounds.thm_43_lower(g, 5, 3, 2, samples=200, seed=1)
     assert rep.lhs == float(walk_counts(g, 5, 6)[6][5])
+
+
+def test_returns_rejects_n_below_one():
+    g = configuration_model(3, 64, seed=0)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bounds.thm_main_returns(g, n, 2, gamma_mean=Fraction(0))
+
+
+def test_monte_carlo_checks_reject_too_few_samples():
+    g = petersen()  # 3^30 and 3^20 walks: both checks sample
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        bounds.thm_43_lower(g, 0, 30, 1, samples=1)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        bounds.lemma_visits_lower(g, 0, 20, 2, samples=0, rho_value=0.5)
 
 
 def test_mean_log_return_rejects_odd():

@@ -144,6 +144,11 @@ def test_gamma_mc_estimates_k4():
     assert abs(est - 6.0) < 0.5
 
 
+def test_gamma_mc_rejects_zero_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        census.gamma_k_mc(complete_graph(4), 0, 3, samples=0)
+
+
 def test_census_density_is_vertex_mean():
     for g in DESK:
         c = census.cycle_census(g, 3)

@@ -373,6 +373,51 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
         )
 
 
+def test_bounds_returns_past_the_float64_window(tmp_path, capsys):
+    # nk = 60 on 512 vertices: 3^60 >= 2^64, far past the float64-exact range
+    from serregraph import bounds
+    from serregraph.limits import configuration_model
+
+    g = configuration_model(3, 512, seed=0)
+    p = tmp_path / "cfg.sgf"
+    p.write_text(dumps(g))
+    rc = main(["bounds", "verify", "--in", str(p), "--suite", "returns", "--n", "20", "--k", "3"])
+    assert rc == 2
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2
+    row = lines[1].split(",")
+    assert row[:4] == ["returns", "3", "main-returns n=20 k=3", "not applicable"]
+    assert row[8] == "|G| >= (nk)^2"
+    per_root = [bounds._closed_walks(g, o, 60) for o in range(g.nv)]
+    assert float(row[4]) == bounds.mean_log_return(g, 60, diag_counts=per_root)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "verify", "--suite", "returns", "--n", "0"], "n must be >= 1"),
+        (["bounds", "verify", "--suite", "returns", "--n", "-2"], "n must be >= 1"),
+        (["bounds", "verify", "--suite", "chi", "--n", "30", "--k", "1", "--samples", "1"],
+         "samples must be >= 2"),
+        (["bounds", "verify", "--suite", "visits", "--n", "20", "--k", "2", "--samples", "0"],
+         "samples must be >= 1"),
+        (["census", "--k", "3", "--mc", "--samples", "0"], "samples must be >= 1"),
+        (["kappa", "--x", "0", "--y", "0", "--k", "2", "--mmax", "2", "--method", "mc",
+          "--samples", "0"],
+         "samples must be >= 1"),
+        (["nullcycle", "sample", "--root", "0", "--n", "4", "--stats", "chi:k=0:l=1"],
+         "k must be >= 1"),
+    ],
+    ids=["returns-n0", "returns-n-2", "chi-samples1", "visits-samples0", "census-mc-samples0",
+         "kappa-mc-samples0", "chi-stat-k0"],
+)
+def test_parameter_errors_name_the_parameter(pet_path, argv, message, capsys):
+    assert main(argv + ["--in", pet_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_bounds_unknown_suite(k4_path, capsys):
     assert main(["bounds", "verify", "--in", k4_path, "--suite", "nosuch"]) == 1
     assert "unknown suite" in capsys.readouterr().err

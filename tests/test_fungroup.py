@@ -228,6 +228,11 @@ def test_monte_carlo_tracks_exact_values():
     assert again.p_even == mc.p_even
 
 
+def test_monte_carlo_rejects_zero_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        kappa_estimate(rose(2), 0, 0, 1, 2, method="mc", samples=0)
+
+
 def test_state_budget_truncates_or_raises():
     g = complete_graph(4)
     est = kappa_estimate(g, 0, 0, 3, 3, state_budget=1500)

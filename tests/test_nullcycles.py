@@ -376,6 +376,19 @@ def test_expected_visits_on_one_regular_graphs(g, n):
     assert got.value == brute_expected_visits(g, 0, {0}, n)
 
 
+@pytest.mark.parametrize("target", [10, -1])
+def test_expected_visits_rejects_targets_off_the_graph(target):
+    # a dropped target would still count in |A| and loosen both visit bounds
+    with pytest.raises(ValueError, match=f"target {target} is not a vertex \\(0..9\\)"):
+        nc.expected_visits(petersen(), 0, {0, target}, 2)
+
+
+def test_chi_statistic_rejects_k_below_one():
+    w = Walk(0, nc.enumerate_nullcycles(petersen(), 0, 2)[0])
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        nc.chi_statistic(petersen(), w, 0, 1)
+
+
 def test_expected_visits_n2_is_two():
     got = nc.expected_visits(complete_graph(4), 0, {0}, 2)
     assert got.value == 2

@@ -19,6 +19,7 @@ from serregraph.core import (
     triangle_tree_ball,
 )
 from serregraph.exact import rho_tree
+from serregraph.limits import configuration_model
 
 
 def test_k4_spectrum_closed_form():
@@ -123,11 +124,44 @@ def test_measure_examples():
 
 def test_diag_power_counts():
     g = petersen()
-    diag = spectral.diag_power_counts(g, 3)
+    diag = spectral.diag_power_counts_batch(g, (3, 20))
+    assert diag[3].dtype == np.int64
     for v in range(g.nv):
-        assert diag[v] == spectral.walk_counts(g, v, 6)[6][v]
-    with pytest.raises(ValueError):
-        spectral.diag_power_counts(g, 20)
+        assert diag[3][v] == spectral.walk_counts(g, v, 6)[6][v]
+    # 3^40 >= 2^63: an object array of exact Python ints
+    assert diag[20].dtype == object
+    assert diag[20].tolist() == [spectral.walk_counts(g, v, 40)[40][v] for v in range(g.nv)]
+
+
+@pytest.mark.parametrize("t", [33, 45])
+def test_diag_power_counts_past_two_to_the_64(t):
+    # 3^(2t) >= 2^64: the squares are summed in Python ints; from t = 41 the
+    # kernel's own counts are Python ints as well
+    g = petersen()
+    diag = spectral.diag_power_counts_batch(g, (2, t))
+    assert diag[2].dtype == np.int64
+    assert diag[t].tolist() == [spectral.walk_counts(g, v, 2 * t)[2 * t][v] for v in range(g.nv)]
+    assert all(type(c) is int for c in diag[t].tolist())
+
+
+def test_diag_power_counts_match_integer_matrix_powers_over_several_blocks():
+    # 299 roots span three blocks of 128; the union adds half-loops, full
+    # loops and a multi-edge to the simple graph
+    mixed = from_edges(3, [(0, 1), (0, 1), (1, 2), (2, 2)], half_loops=[0])
+    g = disjoint_union(configuration_model(3, 294, seed=2), disjoint_union(mixed, half_loop_rose(3)))
+    g = disjoint_union(g, from_edges(1, [(0, 0)], half_loops=[0]))
+    assert g.nv > 2 * 128
+    A = core.adjacency(g)
+    diag = spectral.diag_power_counts_batch(g, (1, 3, 5))
+    for t in (1, 3, 5):
+        assert np.array_equal(diag[t], np.diag(np.linalg.matrix_power(A, 2 * t)))
+
+
+def test_diag_power_counts_budget():
+    g = petersen()
+    steps = g.nv * g.ne * 10 ** 7
+    with pytest.raises(ValueError, match=f"{steps} edge steps.*{spectral.DIAG_STEP_BUDGET}"):
+        spectral.diag_power_counts_batch(g, (1, 10 ** 7))
 
 
 # -- hitting bound ------------------------------------------------------------

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from serregraph.core import (
+    _edge_arrays,
+    _walk_inflows,
     add_half_loops_to_regularize,
     complete_graph,
+    from_edges,
     half_loop_rose,
     petersen,
     rose,
@@ -189,3 +192,27 @@ def test_float_b_step_is_bit_identical(g):
     for _ in range(3):
         x = rng.random(g.ne)
         assert np.array_equal(_apply_b(g, x), ref_apply_b(g, x))
+
+
+def _mixed():
+    # 3-regular: a double edge 0-1, a half-loop at 0 and a full loop at 2
+    return from_edges(3, [(0, 1), (0, 1), (1, 2), (2, 2)], half_loops=[0], name="mixed")
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("g", [complete_graph(5), rose(2), half_loop_rose(3), _mixed(), _cluster()[0]],
+                         ids=lambda g: g.name or "cluster")
+def test_root_block_equals_stacked_single_root_runs(g, reduced):
+    # 66 steps cross the uint64 -> Python-int switch on every fixture, for
+    # reduced walks too (3 * 2^63 >= 2^64 at D = 3)
+    n = 66
+    roots = np.array([g.nv - 1, 0, g.nv // 2, 0])
+    edges = _edge_arrays(g)
+    block = list(_walk_inflows(g.nv, edges, roots, n, reduced))
+    single = [list(_walk_inflows(g.nv, edges, int(o), n, reduced)) for o in roots]
+    assert block[0].dtype == np.uint64 and block[-1].dtype == object
+    for step, inflow in enumerate(block):
+        assert inflow.shape == (g.nv, len(roots))
+        assert all(one[step].dtype == inflow.dtype for one in single)
+        assert inflow.T.tolist() == [one[step].tolist() for one in single]
+    _assert_ints(_flat(block[-1].tolist()))
