@@ -61,8 +61,10 @@ class SerreGraph:
         if len(cols[1]) != ne or len(cols[2]) != ne:
             raise ValueError("src, dst, inv must have equal length")
         m = _index_table(cols)
-        bad = (m < 0) | (m >= np.array([[self.nv], [self.nv], [ne]]))
-        if bad.any():
+        # three reductions check the ranges; the masks that name the first
+        # bad edge are built only when there is one
+        if ne and (m.min() < 0 or m[:2].max() >= self.nv or m[2].max() >= ne):
+            bad = (m < 0) | (m >= np.array([[self.nv], [self.nv], [ne]]))
             e = int(bad.any(axis=0).argmax())
             raise ValueError(f"edge {e} {'endpoint' if bad[:2, e].any() else 'involution id'} out of range")
         m.flags.writeable = False

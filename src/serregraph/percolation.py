@@ -1,14 +1,17 @@
 """Supercritical site percolation windows and cover sphere growth.
 
-A window draws one seeded open mask, cuts out the connected cluster of the
-central origin, and hands it over as a SerreGraph whose vertices are
-numbered in BFS discovery order (a frontier-array BFS builds it level by
-level). The cluster's universal cover has sphere sizes equal to
+A window draws one seeded open mask and finds the connected cluster of the
+central origin by a frontier-array BFS, level by level, numbering the
+vertices in BFS discovery order. The ball of radius r about the origin is
+then a prefix of the ids, and the window builds it as a SerreGraph on
+demand; the whole cluster is the ball at the cluster's depth, built on first
+read. The cluster's universal cover has sphere sizes equal to
 non-backtracking path counts from the root, counted exactly by the
-edge-indexed walk kernel of core; regularizing the cluster to degree 4 with
-half-loops would not change them, since half-loops do not move in the
-cover. The tail of |S_n|^(1/n) is the finite stand-in for the lower growth
-of the infinite cluster's cover.
+edge-indexed walk kernel of core. A path of length n <= nmax never leaves
+the radius-nmax ball, so growth counts run on that ball alone; regularizing
+with half-loops to degree 4 would not change them either, since half-loops
+do not move in the cover. The tail of |S_n|^(1/n) is the finite stand-in
+for the lower growth of the infinite cluster's cover.
 
 Finite windows clip the infinite cluster. Counts at radius n are unbiased
 only while the metric ball stays off the window border, so every growth
@@ -38,12 +41,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PercolationWindow:
-    """Open mask plus the origin cluster as an induced lattice subgraph.
+    """Open mask plus the origin cluster, kept as BFS-ordered lattice cells.
 
-    border_distance is the cluster-metric distance from the origin to the
-    nearest cluster vertex on the window edge, None when the cluster stays
-    interior (then it is the whole lattice component, nothing was cut).
-    cell_x and cell_y are the lattice coordinates of the cluster vertices.
+    cell_x and cell_y are the lattice coordinates of the cluster vertices,
+    numbered in BFS order from the origin (vertex 0), and level_ends[r] is
+    the number of them within cluster distance r, for r up to the cluster's
+    depth (a single 0 when the origin is closed). ball(r) is the induced
+    lattice subgraph on the first level_ends[r] vertices; cluster is the
+    whole of it, built on first read and kept. border_distance is the
+    cluster-metric distance from the origin to the nearest cluster vertex on
+    the window edge, None when the cluster stays interior (then it is the
+    whole lattice component, nothing was cut).
     """
 
     width: int
@@ -51,11 +59,39 @@ class PercolationWindow:
     p: float
     seed: int
     open_mask: np.ndarray
-    cluster: SerreGraph
     cluster_root: int
     cell_x: np.ndarray
     cell_y: np.ndarray
     border_distance: int | None
+    level_ends: np.ndarray
+
+    def ball(self, r: int) -> SerreGraph:
+        """The cluster's ball of radius r about the origin, with the
+        cluster's vertex ids and the cluster's relative edge order: each
+        lattice edge once, from (x, y) to (x+1, y) and then to (x, y+1),
+        followed by its inverse."""
+        if r < 0:
+            raise ValueError("radius must be >= 0")
+        nv = int(self.level_ends[min(r, self.level_ends.size - 1)])
+        x, y = self.cell_x[:nv], self.cell_y[:nv]
+        # ids on the window plus one closed row and column past its far edges;
+        # nv marks a cell outside the ball
+        ids = np.full((self.width + 1, self.height + 1), nv)
+        ids[x, y] = np.arange(nv)
+        ends = np.stack([ids[x + 1, y], ids[x, y + 1]], axis=1)
+        has = ends < nv
+        u = np.repeat(np.arange(nv), 2)[has.ravel()]
+        w = ends[has]
+        src = np.stack([u, w], axis=1).ravel()
+        dst = np.stack([w, u], axis=1).ravel()
+        inv = np.arange(src.size) ^ 1
+        name = "cluster" if nv == self.cell_x.size else f"ball r={r}"
+        return SerreGraph(nv, src, dst, inv, name=f"percolation-{name} p={self.p}")
+
+    @cached_property
+    def cluster(self) -> SerreGraph:
+        """The whole origin cluster, built on first access and kept."""
+        return self.ball(self.level_ends.size - 1)
 
     @cached_property
     def coords(self) -> tuple[tuple[int, int], ...]:
@@ -68,11 +104,11 @@ class PercolationWindow:
 
     @property
     def cluster_size(self) -> int:
-        return self.cluster.nv
+        return len(self.cell_x)
 
     @property
     def density(self) -> float:
-        return self.cluster.nv / (self.width * self.height)
+        return len(self.cell_x) / (self.width * self.height)
 
     @property
     def reaches_boundary(self) -> bool:
@@ -83,7 +119,7 @@ class PercolationWindow:
         return self.border_distance is None or n < self.border_distance
 
 
-def percolate(width: int, height: int, p: float, seed) -> PercolationWindow:
+def percolate(width: int, height: int, p: float, seed: int) -> PercolationWindow:
     """Seeded window, open i.i.d. with probability p, origin cluster by BFS.
 
     One PCG64 stream drives the whole mask, so windows at the same seed and
@@ -94,49 +130,42 @@ def percolate(width: int, height: int, p: float, seed) -> PercolationWindow:
         raise ValueError("window must be at least 1x1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
     mask = rng.random((width, height)) < p
     ox, oy = width // 2, height // 2
 
     if not mask[ox, oy]:
-        empty = SerreGraph(0, (), (), (), name=f"percolation-cluster p={p}")
         no_cells = np.zeros(0, dtype=np.int64)
-        return PercolationWindow(width, height, p, seed, mask, empty, -1, no_cells, no_cells, None)
+        return PercolationWindow(width, height, p, seed, mask, -1, no_cells, no_cells, None,
+                                 np.zeros(1, dtype=np.int64))
 
     # frontier-array BFS on the mask padded with closed cells and flattened:
     # (x, y) is i = (x+1)*h + y+1; (x-1,y), (x+1,y), (x,y-1), (x,y+1) are i-h, i+h, i-1, i+1
     h = height + 2
-    is_open = np.pad(mask, 1).ravel()
-    index = np.full(is_open.size, -1, dtype=np.int64)
+    fresh = np.pad(mask, 1).ravel()  # open cells the BFS has not reached
     frontier = np.array([(ox + 1) * h + oy + 1])
-    levels, nv = [], 0
+    levels = []
     while frontier.size:
-        index[frontier] = np.arange(nv, nv + frontier.size)
-        nv += frontier.size
+        fresh[frontier] = False
         levels.append(frontier)
         near = (frontier[:, None] + np.array([-h, h, -1, 1])).ravel()
-        near = near[is_open[near] & (index[near] < 0)]
+        near = near[fresh[near]]
         # a FIFO queue discovers the new cells in the order of their first
         # proposal, which fixes the vertex ids
         _, first = np.unique(near, return_index=True)
         frontier = near[np.sort(first)]
     cells = np.concatenate(levels)
-    dist = np.repeat(np.arange(len(levels)), [f.size for f in levels])
     x, y = cells // h - 1, cells % h - 1
+    level_ends = np.cumsum([f.size for f in levels])
 
-    # each lattice edge once, from (x, y) to (x+1, y) and then to (x, y+1)
-    ends = index[cells[:, None] + np.array([h, 1])]
-    has = ends >= 0
-    u = np.repeat(np.arange(nv), 2)[has.ravel()]
-    w = ends[has]
-    src = np.stack([u, w], axis=1).ravel()
-    dst = np.stack([w, u], axis=1).ravel()
-    inv = np.arange(src.size) ^ 1
-    cluster = SerreGraph(nv, src, dst, inv, name=f"percolation-cluster p={p}")
-
+    # vertex ids follow BFS order, so the first border vertex is a nearest one
     on_border = (x == 0) | (x == width - 1) | (y == 0) | (y == height - 1)
-    border = int(dist[on_border].min()) if on_border.any() else None
-    return PercolationWindow(width, height, p, seed, mask, cluster, 0, x, y, border)
+    border = None
+    if on_border.any():
+        border = int(np.searchsorted(level_ends, on_border.argmax(), side="right"))
+    return PercolationWindow(width, height, p, seed, mask, 0, x, y, border, level_ends)
 
 
 def cover_sphere_sizes(g: SerreGraph, root: int, nmax: int) -> list[int]:
@@ -211,12 +240,16 @@ def window_growth(
 ) -> GrowthEstimate:
     """Estimate the cover growth of the window's cluster.
 
-    The count runs on the cluster itself: regularizing it to degree 4 with
-    half-loops would leave every sphere size unchanged.
+    The count runs on the cluster's radius-nmax ball about the origin, which
+    holds every path of length n <= nmax out of it, so the sphere sizes are
+    the whole cluster's; the whole cluster is never built. Regularizing it
+    to degree 4 with half-loops would leave every sphere size unchanged too.
     """
     if window.cluster_root < 0:
         raise ValueError("origin closed: empty cluster has no cover")
-    sizes = cover_sphere_sizes(window.cluster, window.cluster_root, nmax)
+    if nmax < 0:
+        raise ValueError("nmax must be >= 0")
+    sizes = cover_sphere_sizes(window.ball(nmax), window.cluster_root, nmax)
     return lower_growth_estimate(
         sizes, tail_fraction, boundary_clean=window.boundary_clean(nmax)
     )

@@ -557,6 +557,13 @@ def test_percolation_closed_origin_errors(capsys):
     assert "origin closed" in capsys.readouterr().err
 
 
+def test_percolation_negative_seed_errors(capsys):
+    args = ["percolation", "growth", "--p", "0.9", "--size", "21", "--seed", "-1"]
+    assert main(args) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: seed must be >= 0\n"
+
+
 # -- fixtures ----------------------------------------------------------------------
 
 

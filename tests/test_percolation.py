@@ -7,7 +7,14 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from serregraph.core import add_half_loops_to_regularize, complete_graph, half_loop_rose, tree_ball
+from serregraph.core import (
+    _edge_arrays,
+    add_half_loops_to_regularize,
+    complete_graph,
+    distances_from,
+    half_loop_rose,
+    tree_ball,
+)
 from serregraph.percolation import (
     cover_sphere_sizes,
     lower_growth_estimate,
@@ -132,6 +139,66 @@ def test_window_growth_peak_memory_stays_small():
     assert peak < 40e6
 
 
+def test_window_growth_with_the_ball_peak_memory_stays_below_ten_mb():
+    # the growth count reads only the radius-40 ball (~3k vertices); the
+    # traced peak was ~26 MB while percolate built the whole cluster graph
+    tracemalloc.start()
+    try:
+        w = percolate(300, 300, 0.9, 5)
+        window_growth(w, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def _prefix_subgraph(g, nv):
+    """src, dst, inv of g restricted to the edges inside vertices 0..nv-1,
+    in g's order, with the edge ids renumbered."""
+    src, dst, inv = _edge_arrays(g)
+    keep = (src < nv) & (dst < nv)
+    renumber = np.cumsum(keep) - 1
+    return src[keep], dst[keep], renumber[inv[keep]]
+
+
+@pytest.mark.parametrize("width,height,p,seed", WINDOWS)
+def test_ball_is_the_prefix_induced_subgraph_of_the_cluster(width, height, p, seed):
+    w = percolate(width, height, p, seed)
+    g = w.cluster
+    dist = distances_from(g, 0) if g.nv else {}
+    depth = max(dist.values(), default=0)
+    assert w.level_ends.size - 1 == depth
+    for r in range(depth + 2):
+        b = w.ball(r)
+        assert b.nv == sum(1 for d in dist.values() if d <= r)
+        for got, want in zip(_edge_arrays(b), _prefix_subgraph(g, b.nv)):
+            assert np.array_equal(got, want)
+    assert "cluster" in vars(w)
+
+
+def test_ball_and_growth_reject_negative_radii():
+    w = percolate(9, 7, 1.0, 4)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        w.ball(-1)
+    with pytest.raises(ValueError, match="nmax must be >= 0"):
+        window_growth(w, -1)
+
+
+@pytest.mark.parametrize("width,height,p,seed", WINDOWS)
+def test_growth_on_the_ball_equals_the_count_on_the_cluster(width, height, p, seed):
+    w = percolate(width, height, p, seed)
+    if w.cluster_root < 0:
+        return
+    depth = w.level_ends.size - 1
+    # below, at and past the cluster's depth; the 300x300 window only below,
+    # where the count over its whole cluster still takes well under a second
+    ns = [40] if depth > 100 else sorted({1, max(1, depth // 2), max(1, depth), depth + 3})
+    g = percolate(width, height, p, seed).cluster
+    for n in ns:
+        assert list(window_growth(w, n).sizes) == cover_sphere_sizes(g, 0, n)
+    assert "cluster" not in vars(w)
+
+
 def test_reference_cases_cover_closed_origins_and_borders():
     # the parametrized cases above include a closed origin at p > 0, an
     # interior cluster and clusters that reach the border
@@ -166,6 +233,8 @@ def test_window_argument_validation():
         percolate(0, 5, 0.5, 0)
     with pytest.raises(ValueError):
         percolate(5, 5, 1.2, 0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        percolate(5, 5, 0.5, -1)
 
 
 def test_cluster_is_connected_open_and_rooted_at_origin():
