@@ -7,7 +7,18 @@ computations take explicit --seed flags so a rerun is bit-identical. When
 its full parameter set, the seeds involved, the tool version, the tree
 table cache keys touched, and a sha256 digest of every artifact
 (including what went to stdout); replaying the same parameters must
-reproduce the digests.
+reproduce the digests. Digests are computed only for --manifest and for
+the fixtures log, which prints them: hashlib loads OpenSSL, a few MB of
+resident memory that no other run reads.
+
+Each run is one short process, so the front end loads only what its
+command calls. core, sgf, exact and report are imported eagerly; the other
+layer modules are registered in sys.modules by importlib.util.LazyLoader
+and execute on their first attribute access, and the handlers look their
+functions up at call time (module.f, not a from-import, which would
+execute the module at once). Registration rather than handler-local
+imports keeps every layer module in sys.modules after `import
+serregraph.cli`, where perfbench/tracer.py finds and wraps them.
 
 Exit codes: 0 success; 2 when a verdict-producing suite was entirely
 hypothesis-gated ("not applicable", distinguished from failure); 1 on
@@ -18,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
+import importlib.util
 import json
 import math
 import sys
@@ -27,13 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bounds, treewalk
-from .census import (
-    cycle_census,
-    essential_girth_beta,
-    essential_girth_profile,
-    gamma_k_mc,
-)
+from . import __version__
 from .core import (
     SerreGraph,
     complete_graph,
@@ -45,13 +50,34 @@ from .core import (
     rose,
 )
 from .exact import frac_str
-from .fungroup import kappa_estimate
-from .limits import configuration_model, ekvivalens_diagnostic
-from .nullcycles import NullcycleSampler, chi_statistic
-from .percolation import percolate, window_growth
 from .report import BoundReport, Hypothesis, report
 from .sgf import SGFError, dumps as sgf_dumps, load_path
-from .spectral import diag_power_counts_batch, markov_spectrum, nonbacktracking_cogrowth
+
+
+def _lazy(name: str):
+    """The package module `name`, registered in sys.modules so that it
+    executes on its first attribute access (importlib.util.LazyLoader)."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+bounds = _lazy("bounds")
+census = _lazy("census")
+fungroup = _lazy("fungroup")
+limits = _lazy("limits")
+nullcycles = _lazy("nullcycles")
+patterns = _lazy("patterns")  # no handler calls it; registered for the tracer
+percolation = _lazy("percolation")
+spectral = _lazy("spectral")
+treewalk = _lazy("treewalk")
 
 SUITES = ("main", "ramanujan", "returns", "chi", "visits", "girth")
 
@@ -75,23 +101,27 @@ def _dumps(obj) -> str:
 
 
 class _Emitter:
-    """Routes artifact text to stdout or files and records digests."""
+    """Routes artifact text to stdout or files. With `digests` set it also
+    records each artifact's sha256; only --manifest and the fixtures log
+    read them, and hashlib loads OpenSSL."""
 
-    def __init__(self):
-        self.digests: list[tuple[str, str]] = []
+    def __init__(self, digests: bool):
+        self.digests: list[tuple[str, str]] | None = [] if digests else None
 
     def write(self, text: str, path=None, label: str = "stdout") -> None:
-        digest = hashlib.sha256(text.encode()).hexdigest()
         if path is None or path == "-":
             sys.stdout.write(text)
-            self.digests.append((label, digest))
         else:
             Path(path).write_text(text)
-            self.digests.append((str(path), digest))
+            label = str(path)
+        if self.digests is not None:
+            import hashlib
+
+            self.digests.append((label, hashlib.sha256(text.encode()).hexdigest()))
 
 
 def _write_manifest(args, emitter: _Emitter) -> None:
-    if not getattr(args, "manifest", None):
+    if not args.manifest:
         return
     skip = {"manifest", "func"}
     params = {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
@@ -158,7 +188,7 @@ def _cmd_treewalk(args, emitter: _Emitter) -> int:
 
 def _cmd_spectrum(args, emitter: _Emitter) -> int:
     g = load_path(args.infile)
-    s = markov_spectrum(g, residual_check=True)
+    s = spectral.markov_spectrum(g, residual_check=True)
     payload = {
         "d": s.d,
         "rho": s.rho,
@@ -185,7 +215,7 @@ def _cmd_spectrum(args, emitter: _Emitter) -> int:
 
 def _cmd_cogrowth(args, emitter: _Emitter) -> int:
     g = load_path(args.infile)
-    s = nonbacktracking_cogrowth(g, args.m)
+    s = spectral.nonbacktracking_cogrowth(g, args.m)
     payload = {
         "alpha": s.alpha,
         "degenerate": s.degenerate,
@@ -219,7 +249,7 @@ def _parse_stats(text: str):
 def _cmd_nullcycle(args, emitter: _Emitter) -> int:
     g = load_path(args.infile)
     specs = _parse_stats(args.stats) if args.stats else []
-    sampler = NullcycleSampler(g, args.root, args.n)
+    sampler = nullcycles.NullcycleSampler(g, args.root, args.n)
     lines = []
     for i, walk in enumerate(sampler.draws(args.count, args.seed)):
         rec = {"draw": i, "root": args.root, "n": args.n, "edges": list(walk.edges)}
@@ -227,7 +257,7 @@ def _cmd_nullcycle(args, emitter: _Emitter) -> int:
             if kind == "visits":
                 rec["visits"] = sum(1 for v in walk.vertices(g) if v == args.root)
             else:
-                rec[f"chi_k{k}_l{ell}"] = chi_statistic(g, walk, k, ell)
+                rec[f"chi_k{k}_l{ell}"] = nullcycles.chi_statistic(g, walk, k, ell)
         lines.append(json.dumps(_jsonable(rec), sort_keys=True))
     emitter.write("\n".join(lines) + "\n", args.out)
     return 0
@@ -235,13 +265,13 @@ def _cmd_nullcycle(args, emitter: _Emitter) -> int:
 
 def _cmd_census(args, emitter: _Emitter) -> int:
     g = load_path(args.infile)
-    c = cycle_census(g, args.k)
+    c = census.cycle_census(g, args.k)
     header = ["vertex", f"gamma_{args.k}"]
     rows = [[v, c.per_vertex[v]] for v in range(g.nv)]
     if args.mc:
         header.append("gamma_mc")
         for v in range(g.nv):
-            rows[v].append(gamma_k_mc(g, v, args.k, args.samples, seed=args.seed))
+            rows[v].append(census.gamma_k_mc(g, v, args.k, args.samples, seed=args.seed))
     emitter.write(_csv_lines(header, rows), args.csv, label="census-csv")
     summary = dict(c.to_dict())
     summary["nv"] = g.nv
@@ -252,7 +282,7 @@ def _cmd_census(args, emitter: _Emitter) -> int:
 
 def _girth_report(g: SerreGraph) -> BoundReport:
     d = require_regular(g)
-    beta = essential_girth_beta(d)
+    beta = census.essential_girth_beta(d)
     eps = beta
     # ln ln |G| is undefined below three vertices: no radius is promised there
     if g.nv >= 3:
@@ -266,7 +296,7 @@ def _girth_report(g: SerreGraph) -> BoundReport:
         f"radius={radius:.6f}: the promised tree-ball radius is below 1 "
         "until |G| is astronomically large",
     )
-    prof = essential_girth_profile(g, max(1, r_eff))
+    prof = census.essential_girth_profile(g, max(1, r_eff))
     lhs = float(prof.fractions[max(1, r_eff) - 1])
     return report(
         f"essential-girth beta={beta:.6f}",
@@ -298,7 +328,7 @@ def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
     if suite == "returns":
         nn = n if n is not None else 4
         ts = {nn * k // 2 for k in ks if nn * k > 0 and nn * k % 2 == 0}
-        diag = diag_power_counts_batch(g, ts) if ts else {}
+        diag = spectral.diag_power_counts_batch(g, ts) if ts else {}
         # an odd nk is a parity error, raised before any census is taken
         return [
             (
@@ -340,8 +370,8 @@ def _cmd_bounds(args, emitter: _Emitter) -> int:
     ks = _parse_krange(args.k)
     # the main, ramanujan, returns and visits suites share one eigensolve,
     # and the first three one census per k, each computed on first use
-    rho = functools.cache(lambda: markov_spectrum(g).rho)
-    gamma = functools.cache(lambda k: cycle_census(g, k).density)
+    rho = functools.cache(lambda: spectral.markov_spectrum(g).rho)
+    gamma = functools.cache(lambda k: census.cycle_census(g, k).density)
     rows = []
     verdicts = []
     for suite in suites:
@@ -386,7 +416,7 @@ def _cmd_bounds(args, emitter: _Emitter) -> int:
 
 def _cmd_kappa(args, emitter: _Emitter) -> int:
     g = load_path(args.infile)
-    est = kappa_estimate(
+    est = fungroup.kappa_estimate(
         g,
         args.x,
         args.y,
@@ -421,9 +451,9 @@ def _cmd_limits(args, emitter: _Emitter) -> int:
     labels = []
     for size in sizes:
         for seed in range(args.seeds):
-            graphs.append(configuration_model(args.d, size, seed=seed))
+            graphs.append(limits.configuration_model(args.d, size, seed=seed))
             labels.append(f"cfg-d{args.d}-n{size}-s{seed}")
-    rows_out = ekvivalens_diagnostic(graphs, args.r, args.kmax, labels=labels)
+    rows_out = limits.ekvivalens_diagnostic(graphs, args.r, args.kmax, labels=labels)
     header = ["label", "nv", "tv_tree", "w1_km"] + [
         f"density_{k}" for k in range(1, args.kmax + 1)
     ]
@@ -437,12 +467,12 @@ def _cmd_limits(args, emitter: _Emitter) -> int:
 
 
 def _cmd_percolation(args, emitter: _Emitter) -> int:
-    w = percolate(args.size, args.size, args.p, args.seed)
+    w = percolation.percolate(args.size, args.size, args.p, args.seed)
     if w.cluster_root < 0:
         raise ValueError(
             f"origin closed at p={args.p} seed={args.seed}: empty cluster, try another seed"
         )
-    est = window_growth(w, args.nmax, args.tail_fraction)
+    est = percolation.window_growth(w, args.nmax, args.tail_fraction)
     if args.csv is not None:
         rows = [
             (n, est.sizes[n], est.rates[n - 1]) for n in range(1, args.nmax + 1)
@@ -471,7 +501,7 @@ _FIXTURES = {
     "prism3.sgf": lambda: prism(3),
     "rose2.sgf": lambda: rose(2),
     "hlrose3.sgf": lambda: half_loop_rose(3),
-    "cfg3-64-s0.sgf": lambda: configuration_model(3, 64, seed=0),
+    "cfg3-64-s0.sgf": lambda: limits.configuration_model(3, 64, seed=0),
 }
 
 
@@ -604,7 +634,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
-    emitter = _Emitter()
+    emitter = _Emitter(digests=bool(args.manifest) or args.command == "fixtures")
     try:
         code = args.func(args, emitter)
     except SGFError as exc:

@@ -73,7 +73,9 @@ class TreeWalkTables:
         for n in range(self.nmax + 1, nmax + 1):
             prev, cur = rows[n - 1], [0] * width
             cur[0] = d * prev[1]
-            for k in range(1, n + 1):
+            # a walk changes its distance's parity every step: cur[k] = 0
+            # whenever n - k is odd
+            for k in range(2 - n % 2, n + 1, 2):
                 cur[k] = prev[k - 1] + (d - 1) * prev[k + 1]
             rows.append(cur)
         self.nmax = nmax

@@ -288,15 +288,16 @@ def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatc
     import csv
     import io
 
-    from serregraph import bounds, cli
+    from serregraph import bounds, census, spectral
     from serregraph.limits import configuration_model
 
     p = tmp_path / "cfg.sgf"
     p.write_text(dumps(configuration_model(3, 128, seed=0)))
-    calls = {"markov_spectrum": 0, "cycle_census": 0}
+    owners = {"markov_spectrum": spectral, "cycle_census": census}
+    calls = dict.fromkeys(owners, 0)
 
     def counted(name):
-        fn = getattr(cli, name)
+        fn = getattr(owners[name], name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -304,8 +305,11 @@ def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatc
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+    # the CLI reads both at call time from their modules; executing bounds
+    # first keeps it from binding a wrapper that the undo would leave behind
+    bounds.thm_main_finite  # noqa: B018
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counted(name))
     suites = "main,ramanujan,returns"
     rc = main(["bounds", "verify", "--in", str(p), "--suite", suites, "--k", "1..3"])
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
@@ -335,21 +339,23 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
     import csv
     import io
 
-    from serregraph import bounds, cli
+    from serregraph import bounds, spectral
     from serregraph.limits import configuration_model
 
     p = tmp_path / "cfg.sgf"
     p.write_text(dumps(configuration_model(3, 128, seed=0)))
     calls = 0
-    solve = cli.markov_spectrum
+    solve = spectral.markov_spectrum
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return solve(*args, **kwargs)
 
-    # count eigensolves made by the CLI and inside the verdict functions
-    monkeypatch.setattr(cli, "markov_spectrum", counted)
+    # count eigensolves made by the CLI and inside the verdict functions;
+    # executing bounds first keeps it from binding `counted` as its original
+    bounds.thm_43_lower  # noqa: B018
+    monkeypatch.setattr(spectral, "markov_spectrum", counted)
     monkeypatch.setattr(bounds, "markov_spectrum", counted)
     argv = ["bounds", "verify", "--in", str(p), "--suite", "chi,visits", "--k", "2,3"]
     main(argv + ["--samples", "200"])
@@ -570,12 +576,18 @@ def test_percolation_negative_seed_errors(capsys):
 def test_fixtures_roundtrip(tmp_path, capsys):
     outdir = tmp_path / "fx"
     assert main(["fixtures", "--out-dir", str(outdir)]) == 0
-    capsys.readouterr()
     files = sorted(p.name for p in outdir.glob("*.sgf"))
     assert "k4.sgf" in files and "pet.sgf" in files and len(files) == 8
     for p in outdir.glob("*.sgf"):
         g = load_path(p)
         assert validate(g).ok
+    # the log's digests are those of the bytes written
+    digests = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in outdir.glob("*.sgf")}
+    logged = dict(
+        line.removeprefix("wrote ").split(" sha256=")
+        for line in capsys.readouterr().out.splitlines()
+    )
+    assert logged == digests
 
 
 # -- manifest and errors -----------------------------------------------------------
@@ -601,6 +613,38 @@ def test_manifest_replay(tmp_path, capsys):
     d2 = [x["sha256"] for x in m2["output_digests"]]
     assert d1 == d2
     assert d1[0] == hashlib.sha256(first).hexdigest()
+
+
+def test_manifest_digests_are_the_artifact_bytes(tmp_path, k4_path, capsys):
+    man = tmp_path / "m.json"
+    csv_path, json_path = tmp_path / "c.csv", tmp_path / "c.json"
+    args = ["--manifest", str(man), "census", "--in", k4_path, "--k", "3",
+            "--csv", str(csv_path), "--json-out", str(json_path)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == ""
+    recorded = {x["artifact"]: x["sha256"] for x in json.loads(man.read_text())["output_digests"]}
+    assert recorded == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)
+    }
+
+
+def test_digests_only_for_manifest_and_fixtures(tmp_path, k4_path, monkeypatch):
+    sha256 = hashlib.sha256
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    perc = ["percolation", "growth", "--p", "0.9", "--size", "30", "--seed", "1", "--nmax", "6"]
+    census = ["census", "--in", k4_path, "--k", "3"]
+    assert main(perc) == 0 and main(census + ["--csv"]) == 0
+    assert calls == []
+    assert main(["--manifest", str(tmp_path / "m.json")] + perc) == 0
+    assert len(calls) == 1
+    assert main(["fixtures", "--out-dir", str(tmp_path / "fx")]) == 0
+    assert len(calls) == 1 + 8 + 1  # each fixture, then the log
 
 
 def test_manifest_records_seeds(tmp_path, k4_path):
@@ -664,6 +708,48 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _run_python(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_registers_every_traced_layer_and_runs_without_openssl(tmp_path):
+    # perfbench/tracer.py reads each layer module from sys.modules right after
+    # `import serregraph.cli`; a digest-free run must not load OpenSSL
+    from pathlib import Path
+
+    from serregraph.limits import configuration_model
+
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    graph = tmp_path / "cfg.sgf"
+    graph.write_text(dumps(configuration_model(3, 64, seed=0)))
+    argv = ["bounds", "verify", "--in", str(graph), "--suite", "main,returns",
+            "--csv", str(tmp_path / "v.csv")]
+    code = (
+        f"import sys; sys.path.insert(0, {perfbench!r}); import tracer, serregraph.cli; "
+        "missing = sorted({m for m, *_ in tracer.TARGETS} - set(sys.modules)); "
+        f"rc = serregraph.cli.main({argv!r}); "
+        "print(missing, rc, '_hashlib' in sys.modules)"
+    )
+    assert _run_python(code) == "[] 0 False"
+
+
+def test_percolation_growth_executes_no_unrelated_layer():
+    # a module LazyLoader registered and never touched is still a _LazyModule
+    argv = ["percolation", "growth", "--p", "0.9", "--size", "30", "--seed", "1", "--nmax", "6"]
+    code = (
+        "import sys, types, serregraph.cli; "
+        f"rc = serregraph.cli.main({argv!r}); "
+        "print(rc, sorted(n.split('.')[1] for n, m in sys.modules.items() "
+        "if n.startswith('serregraph.') and type(m) is types.ModuleType))"
+    )
+    rc, executed = _run_python(code).split(" ", 1)
+    assert rc == "0"
+    for name in ("bounds", "census", "fungroup", "nullcycles", "spectral", "treewalk"):
+        assert f"'{name}'" not in executed
 
 
 def test_module_entry_point():

@@ -408,3 +408,24 @@ def test_nullcycle_counts_leave_c_unbuilt(monkeypatch):
     assert tw.return_probability(4, 30) == Fraction(_c_eager(4, 30)[30][0], 4 ** 30)
     assert len(tw.check_return_bounds(4, 30)) == 15
     assert tw._MEMO[4]._c is None
+
+
+def _u_full(d, nmax):
+    """u[n][k] from the recurrence run over every k, zeros included."""
+    rows = [[1] + [0] * (nmax + 1)]
+    for n in range(1, nmax + 1):
+        prev, cur = rows[-1], [0] * (nmax + 2)
+        cur[0] = d * prev[1]
+        for k in range(1, n + 1):
+            cur[k] = prev[k - 1] + (d - 1) * prev[k + 1]
+        rows.append(cur)
+    return rows
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_parity_skipping_tables_equal_the_full_recurrence(d):
+    for nmax in (0, 1, 2, 7, 60):
+        assert tw.TreeWalkTables(d, nmax).u == _u_full(d, nmax)
+    grown = tw.TreeWalkTables(d, 13)
+    grown._grow(60)
+    assert grown.u == _u_full(d, 60)
