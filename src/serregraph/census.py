@@ -127,7 +127,6 @@ class CycleCensus:
     per_vertex: tuple[int, ...]
     total: int
     density: Fraction
-    mean: Fraction
 
     def to_dict(self) -> dict:
         return {
@@ -145,8 +144,7 @@ def cycle_census(g: SerreGraph, k: int) -> CycleCensus:
     per = tuple(0 if tree_radius(g, v, k // 2) == k // 2 else _count_closed_nontrivial(g, v, k)
                 for v in range(g.nv))
     total = sum(per)
-    density = Fraction(total, g.nv)
-    return CycleCensus(k=k, per_vertex=per, total=total, density=density, mean=density)
+    return CycleCensus(k=k, per_vertex=per, total=total, density=Fraction(total, g.nv))
 
 
 # -- essential girth --------------------------------------------------------------

@@ -275,7 +275,7 @@ def _cmd_census(args, emitter: _Emitter) -> int:
     emitter.write(_csv_lines(header, rows), args.csv, label="census-csv")
     summary = dict(c.to_dict())
     summary["nv"] = g.nv
-    summary["mean"] = frac_str(c.mean)
+    summary["mean"] = frac_str(c.density)
     emitter.write(_dumps(summary), args.json_out, label="census-json")
     return 0
 

@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, reduce_word, require_regular
+from .core import (SerreGraph, Walk, _edge_arrays, _walk_inflows, distances_from, reduce_word,
+                   require_regular)
 from .exact import rho_tree
 from .report import BoundReport, BoundViolation, Hypothesis, report
 from .spectral import markov_spectrum
@@ -88,30 +89,16 @@ def _walks_between(g: SerreGraph, x: int, y: int, k: int, budget: int) -> list[t
 
 
 def _path_to(g: SerreGraph, x: int, y: int) -> tuple[int, ...]:
-    """Edge ids of a BFS-shortest walk x -> y."""
-    if x == y:
-        return ()
-    src, dst = g.src, g.dst
-    prev = {x: None}
-    frontier = [x]
-    while frontier and y not in prev:
-        nxt = []
-        for v in frontier:
-            for e in g.out_edges(v):
-                w = dst[e]
-                if w not in prev:
-                    prev[w] = e
-                    nxt.append(w)
-        frontier = nxt
-    if y not in prev:
+    """Edge ids of a BFS-shortest walk x -> y: each step goes to a neighbour
+    one closer to y."""
+    dist = distances_from(g, y)
+    if x not in dist:
         raise ValueError(f"no path from {x} to {y}")
-    edges = []
-    v = y
-    while v != x:
-        e = prev[v]
-        edges.append(e)
-        v = src[e]
-    return tuple(reversed(edges))
+    dst, edges, v = g.dst, [], x
+    while v != y:
+        edges.append(next(e for e in g.out_edges(v) if dist[dst[e]] == dist[v] - 1))
+        v = dst[edges[-1]]
+    return tuple(edges)
 
 
 def _flog(p) -> float:

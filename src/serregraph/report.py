@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .exact import frac_str
+
 
 class BoundViolation(ArithmeticError):
     """An exact inequality that a published result guarantees came out false.
@@ -55,11 +57,6 @@ class BoundReport:
         return "fail"
 
     def to_dict(self) -> dict[str, Any]:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-            return v
-
         return {
             "name": self.name,
             "lhs": self.lhs,
@@ -70,7 +67,8 @@ class BoundReport:
             "hypotheses": [
                 {"name": h.name, "ok": h.ok, "detail": h.detail} for h in self.hypotheses
             ],
-            "constants": {k: enc(v) for k, v in self.constants.items()},
+            "constants": {k: frac_str(v) if isinstance(v, Fraction) else v
+                          for k, v in self.constants.items()},
             "notes": self.notes,
         }
 

@@ -9,6 +9,10 @@ Eigensolves are dense symmetric (LAPACK); no sparse iterative solver is
 used anywhere. The non-backtracking Perron value is taken from constant row
 sums when the graph is regular (in that case the all-ones vector is an exact
 positive eigenvector) and from shifted power iteration otherwise.
+
+Cogrowth's "acyclic" means B is nilpotent, so the universal cover is a
+forest. has_cycle differs: it counts a half-loop as a cycle, but a half-loop
+is its own reversal, so no non-backtracking walk takes it twice in a row.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .core import (
     _walk_inflows,
     adjacency,
     connected_components,
+    distances_from,
     require_regular,
     tree_radius,
 )
@@ -50,22 +55,15 @@ def markov_matrix(g: SerreGraph) -> np.ndarray:
 
 
 def is_bipartite(g: SerreGraph) -> bool:
+    """No edge joins two vertices whose BFS distances from their component's
+    first vertex have equal parity; a loop of either kind is such an edge."""
+    parity = [None] * g.nv
+    for v in range(g.nv):
+        if parity[v] is None:
+            for w, k in distances_from(g, v).items():
+                parity[w] = k & 1
     dst = g.dst
-    color = {}
-    for comp in connected_components(g):
-        start = comp[0]
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e in g.out_edges(v):
-                w = dst[e]
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return False
-    return True
+    return all(parity[dst[e]] != parity[v] for v in range(g.nv) for e in g.out_edges(v))
 
 
 def distinct_abs_desc(eigenvalues) -> list[float]:
@@ -79,6 +77,12 @@ def distinct_abs_desc(eigenvalues) -> list[float]:
     return reps
 
 
+def _rho_of(vals) -> float:
+    """The second distinct |lambda|, or the only one."""
+    reps = distinct_abs_desc(vals)
+    return float(reps[1] if len(reps) > 1 else reps[0])
+
+
 @dataclass
 class SpectralSummary:
     d: int
@@ -90,19 +94,14 @@ class SpectralSummary:
     n_components: int
 
 
-def weakly_ramanujan_mass(g: SerreGraph, eigenvalues=None) -> Fraction:
+def weakly_ramanujan_mass(g: SerreGraph) -> Fraction:
     """Fraction of eigenvalues with |lambda| strictly inside the tree window.
 
     Strict means |lambda| < 2 sqrt(d-1)/d minus a 1e-9 guard, so eigenvalues
     that are exactly on the edge, like the bipartite pair at d = 2, are
     never counted in by rounding.
     """
-    d = require_regular(g)
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvalsh(markov_matrix(g))
-    cut = rho_tree(d) - WINDOW_GUARD
-    count = int(np.count_nonzero(np.abs(eigenvalues) < cut))
-    return Fraction(count, g.nv)
+    return markov_spectrum(g).weakly_ramanujan_mass
 
 
 def markov_spectrum(g: SerreGraph, residual_check: bool = False) -> SpectralSummary:
@@ -115,24 +114,21 @@ def markov_spectrum(g: SerreGraph, residual_check: bool = False) -> SpectralSumm
             raise ArithmeticError(f"eigensolve residual {res:.2e} > 1e-10")
     else:
         vals = np.linalg.eigvalsh(M)
-    reps = distinct_abs_desc(vals)
-    r = reps[1] if len(reps) > 1 else reps[0]
+    r = _rho_of(vals)
+    inside = int(np.count_nonzero(np.abs(vals) < rho_tree(d) - WINDOW_GUARD))
     return SpectralSummary(
         d=d,
         eigenvalues=vals,
-        rho=float(r),
+        rho=r,
         is_bipartite=is_bipartite(g),
         ramanujan=bool(r <= rho_tree(d) + 1e-12),
-        weakly_ramanujan_mass=weakly_ramanujan_mass(g, eigenvalues=vals),
+        weakly_ramanujan_mass=Fraction(inside, g.nv),
         n_components=len(connected_components(g)),
     )
 
 
 def rho(g: SerreGraph) -> float:
-    d = require_regular(g)
-    vals = np.linalg.eigvalsh(markov_matrix(g))
-    reps = distinct_abs_desc(vals)
-    return float(reps[1] if len(reps) > 1 else reps[0])
+    return _rho_of(np.linalg.eigvalsh(markov_matrix(g)))
 
 
 # -- spectral measures and walk DPs ----------------------------------------
@@ -168,9 +164,7 @@ def walk_counts(g: SerreGraph, o: int, nmax: int) -> list[list[int]]:
 
 
 def return_probability_dp(g: SerreGraph, o: int, nmax: int) -> list[Fraction]:
-    d = require_regular(g)
-    counts = walk_counts(g, o, nmax)
-    return [Fraction(counts[n][o], d ** n) for n in range(nmax + 1)]
+    return hitting_probabilities(g, o, (o,), nmax)
 
 
 def diag_power_counts_batch(g: SerreGraph, ts) -> dict[int, np.ndarray]:
@@ -272,10 +266,6 @@ def _b_operator(g: SerreGraph):
     return lambda x: _step(x, _inflow(x, dst, g.nv), src, inv)
 
 
-def _apply_b(g: SerreGraph, x: np.ndarray) -> np.ndarray:
-    return _b_operator(g)(x)
-
-
 def has_cycle(g: SerreGraph) -> bool:
     return any(tree_radius(g, c[0], g.nv) < g.nv for c in connected_components(g))
 
@@ -295,46 +285,42 @@ class CogrowthSummary:
 
 
 def hashimoto_perron(g: SerreGraph) -> tuple[float, str]:
-    """Perron value of the non-backtracking operator.
-
-    Constant row sums (regular graphs) give the value exactly. Otherwise a
-    power iteration on the shifted operator B + I, whose peripheral spectrum
-    is a single real point, with a squared-operator fallback if the change
-    criterion is still oscillating at the iteration cap.
+    """Perron value of the non-backtracking operator B and a tag for its route:
+    "acyclic" when B is nilpotent (no edges included), value 0; "row-sums"
+    when every edge has the same number of continuations, as on a regular
+    graph; "power" from power iteration on the shifted operator B + I, whose
+    peripheral spectrum is a single real point; "power-squared" from B^2 when
+    the shifted pass's change criterion still oscillates at the cap.
     """
-    if g.ne == 0:
-        return 0.0, "empty"
+    apply_b = _b_operator(g)
+    # live, the support of 1 B^n, shrinks until stable; it ends empty (the
+    # loop's else) iff B is nilpotent
+    live = np.ones(g.ne, dtype=bool)
+    while live.any():
+        nxt = apply_b(live.astype(np.float64)) > 0
+        if np.array_equal(nxt, live):
+            break
+        live = nxt
+    else:
+        return 0.0, "acyclic"
     rowsums = {g.degree(w) - 1 for w in g.dst}
     if len(rowsums) == 1:
         return float(rowsums.pop()), "row-sums"
-    if not has_cycle(g):
-        return 0.0, "acyclic"
-    apply_b = _b_operator(g)
-    x = np.ones(g.ne)
-    est = 0.0
-    for it in range(POWER_MAX_ITER):
-        y = apply_b(x) + x
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0, "nilpotent"
-        new_est = nrm / np.linalg.norm(x)
-        x = y / nrm
-        if abs(new_est - est) <= POWER_TOL * max(1.0, new_est):
-            return new_est - 1.0, "power"
-        est = new_est
-    # squared-operator fallback for a stalled iteration
-    x = np.ones(g.ne)
-    est = 0.0
-    for it in range(POWER_MAX_ITER):
-        y = apply_b(apply_b(x))
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0, "nilpotent"
-        new_est = nrm / np.linalg.norm(x)
-        x = y / nrm
-        if abs(new_est - est) <= POWER_TOL * max(1.0, new_est):
-            return math.sqrt(new_est), "power-squared"
-        est = new_est
+    passes = (
+        (lambda x: apply_b(x) + x, lambda est: est - 1.0, "power"),
+        (lambda x: apply_b(apply_b(x)), math.sqrt, "power-squared"),
+    )
+    for step, finish, tag in passes:
+        x = np.ones(g.ne)
+        est = 0.0
+        for _ in range(POWER_MAX_ITER):
+            y = step(x)
+            nrm = np.linalg.norm(y)
+            new_est = nrm / np.linalg.norm(x)
+            x = y / nrm
+            if abs(new_est - est) <= POWER_TOL * max(1.0, new_est):
+                return finish(new_est), tag
+            est = new_est
     raise ArithmeticError("non-backtracking power iteration did not converge")
 
 
@@ -350,19 +336,14 @@ def grigorchuk_rho(m: int, alpha: float) -> float:
 
 
 def nonbacktracking_cogrowth(g: SerreGraph, m: int | None = None) -> CogrowthSummary:
-    if not has_cycle(g):
-        out = CogrowthSummary(alpha=0.0, degenerate=True, method="acyclic")
-    else:
-        alpha, method = hashimoto_perron(g)
-        out = CogrowthSummary(alpha=alpha, degenerate=False, method=method)
+    alpha, method = hashimoto_perron(g)
+    out = CogrowthSummary(alpha=alpha, degenerate=method == "acyclic", method=method)
     if m is not None:
         if max(g.degrees, default=0) > m:
             raise ValueError("m below the maximum degree")
         out.m = m
-        if out.degenerate:
-            out.rho_cover = 2.0 * math.sqrt(m - 1.0) / m
-        else:
-            out.rho_cover = grigorchuk_rho(m, out.alpha)
+        out.rho_cover = (2.0 * math.sqrt(m - 1.0) / m if out.degenerate
+                         else grigorchuk_rho(m, out.alpha))
     return out
 
 

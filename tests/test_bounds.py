@@ -10,12 +10,18 @@ from serregraph.census import gamma_k
 from serregraph.core import complete_graph, petersen, prism
 from serregraph.exact import rho_tree
 from serregraph.limits import configuration_model
+from serregraph.report import report
 from serregraph.spectral import markov_spectrum, walk_counts
 
 OK = ("pass", "pass within tolerance")
 
 
 # -- constants ----------------------------------------------------------------
+
+
+def test_report_dict_renders_fraction_constants_exactly():
+    rep = report("r", 1.0, 0.5, constants={"third": Fraction(1, 3), "four": Fraction(4), "x": 0.25})
+    assert rep.to_dict()["constants"] == {"third": "1/3", "four": "4", "x": 0.25}
 
 
 def test_constants_match_hand_substitution():

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,18 @@ def test_cogrowth_with_cover(k4_path, capsys):
     data = _json_out(capsys)
     assert data["m"] == 3
     assert data["rho_cover"] is not None
+
+
+def test_cogrowth_half_loop_cover_is_a_forest(tmp_path, capsys):
+    from serregraph.core import half_loop_rose
+
+    p = tmp_path / "hl1.sgf"
+    p.write_text(dumps(half_loop_rose(1)))
+    assert main(["cogrowth", "--in", str(p), "--m", "3"]) == 0
+    data = _json_out(capsys)
+    assert data["alpha"] == 0.0 and data["degenerate"] is True
+    assert data["method"] == "acyclic"
+    assert data["rho_cover"] == 2.0 * 2.0 ** 0.5 / 3
 
 
 # -- nullcycle sampling ------------------------------------------------------------
@@ -484,6 +497,38 @@ def test_limits_fleet_output_is_pinned(capsys):
     assert main(args) == 0
     out = capsys.readouterr()
     assert out.out == FLEET_3_64_128 and out.err == ""
+
+
+# frozen stdout of `spectrum --json`, `cogrowth` and `cogrowth --m 6` on the
+# fixtures and on a triangle with a pendant edge (cogrowth's power route);
+# spectrum needs a regular graph, so the pendant graph has no spectrum entry
+SPECTRAL_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "spectral_cli_pinned.json").read_text())
+SPECTRAL_COMMANDS = {
+    "spectrum --json": ["spectrum", "--json"],
+    "cogrowth": ["cogrowth"],
+    "cogrowth --m 6": ["cogrowth", "--m", "6"],
+}
+
+
+@pytest.fixture(scope="module")
+def spectral_fixture_dir(tmp_path_factory):
+    from serregraph.core import from_edges
+
+    out = tmp_path_factory.mktemp("spectral-fixtures")
+    assert main(["fixtures", "--out-dir", str(out)]) == 0
+    (out / "tripend.sgf").write_text(dumps(from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])))
+    return out
+
+
+@pytest.mark.parametrize("fixture,command", [
+    (f, c) for f, outs in sorted(SPECTRAL_PINNED.items()) for c in sorted(outs)])
+def test_spectral_outputs_are_pinned(fixture, command, spectral_fixture_dir, capsys):
+    capsys.readouterr()
+    cmd, *rest = SPECTRAL_COMMANDS[command]
+    assert main([cmd, "--in", str(spectral_fixture_dir / fixture), *rest]) == 0
+    out = capsys.readouterr()
+    assert out.out == SPECTRAL_PINNED[fixture][command] and out.err == ""
 
 
 # -- percolation -------------------------------------------------------------------

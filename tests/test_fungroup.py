@@ -11,6 +11,7 @@ from serregraph.core import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    distances_from,
     half_loop_rose,
     petersen,
     rose,
@@ -19,6 +20,7 @@ from serregraph.core import (
 from serregraph.exact import rho_tree
 from serregraph.fungroup import (
     KappaEstimate,
+    _path_to,
     homotopy_class,
     is_nullhomotopic,
     kappa_estimate,
@@ -129,6 +131,25 @@ def test_nullhomotopic_iff_nullcycle_on_closed_walks():
 
 
 # -- kappa estimates ----------------------------------------------------------
+
+
+def test_path_to_is_a_shortest_walk():
+    from serregraph.limits import configuration_model
+
+    for g in (petersen(), cycle_graph(7), tree_ball(3, 3).graph, configuration_model(3, 64, seed=2),
+              disjoint_union(half_loop_rose(2), rose(1))):
+        for x in range(g.nv):
+            dist = distances_from(g, x)
+            for y in dist:
+                path = _path_to(g, x, y)
+                assert len(path) == dist[y]
+                assert Walk(x, path).vertices(g)[-1] == y
+
+
+def test_path_to_rejects_a_disconnected_pair():
+    g = disjoint_union(cycle_graph(3), cycle_graph(4))
+    with pytest.raises(ValueError, match="no path from 0 to 5"):
+        _path_to(g, 0, 5)
 
 
 def test_tree_ball_kappa_is_exactly_one():

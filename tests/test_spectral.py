@@ -1,8 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serregraph import core, spectral
 from serregraph.core import (
@@ -54,6 +57,52 @@ def test_single_distinct_value_rose():
     s2 = spectral.markov_spectrum(half_loop_rose(3))
     assert s2.rho == pytest.approx(1.0)
     assert not s2.is_bipartite  # half-loop is an odd cycle
+
+
+def _bipartite_by_dfs(g):
+    """Oracle: two-colour each component by DFS and look for a clash."""
+    color = {}
+    for comp in core.connected_components(g):
+        color[comp[0]] = 0
+        stack = [comp[0]]
+        while stack:
+            v = stack.pop()
+            for e in g.out_edges(v):
+                w = g.dst[e]
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return False
+    return True
+
+
+@st.composite
+def _multigraphs(draw):
+    """Small multigraphs: repeated pairs are multi-edges, u == v a full
+    loop; half-loops may repeat; no edges at all is allowed."""
+    nv = draw(st.integers(1, 7))
+    vertex = st.integers(0, nv - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    return from_edges(nv, pairs, half_loops=draw(st.lists(vertex, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_multigraphs(), st.tuples(_multigraphs(), _multigraphs()).map(
+    lambda ab: disjoint_union(*ab))))
+def test_is_bipartite_matches_dfs_colouring(g):
+    assert spectral.is_bipartite(g) == _bipartite_by_dfs(g)
+
+
+def test_is_bipartite_matches_dfs_colouring_on_fixtures():
+    from tests.test_core import tree_radius_fixtures
+
+    graphs = tree_radius_fixtures() + [configuration_model(3, 64, seed=s) for s in range(3)]
+    graphs += [configuration_model(2, 16, seed=s) for s in range(4)]
+    for g in graphs:
+        assert spectral.is_bipartite(g) == _bipartite_by_dfs(g), g
+    assert spectral.is_bipartite(disjoint_union(cycle_graph(4), cycle_graph(6)))
+    assert not spectral.is_bipartite(disjoint_union(cycle_graph(4), rose(1)))
 
 
 def test_disconnected_full_spectrum_rule():
@@ -196,7 +245,7 @@ def test_hashimoto_matrix_agrees_with_matrix_free():
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.random(g.ne)
-        assert np.allclose(x @ B, spectral._apply_b(g, x))
+        assert np.allclose(x @ B, spectral._b_operator(g)(x))
 
 
 def test_alpha_exact_for_regular():
@@ -219,6 +268,38 @@ def test_alpha_power_iteration_triangle_with_pendant():
     a, method = spectral.hashimoto_perron(g)
     assert method in ("power", "power-squared")
     assert a == pytest.approx(1.0, abs=1e-8)
+
+
+def _p3_and_half_loop():
+    return disjoint_union(from_edges(3, [(0, 1), (1, 2)]), half_loop_rose(1))
+
+
+def test_hashimoto_acyclic_iff_b_is_nilpotent():
+    from tests.test_core import tree_radius_fixtures
+
+    for g in tree_radius_fixtures() + [_p3_and_half_loop()]:
+        nilpotent = not np.linalg.matrix_power(spectral.hashimoto_matrix(g) > 0, g.ne).any()
+        assert (spectral.hashimoto_perron(g)[1] == "acyclic") == nilpotent, g
+
+
+def test_half_loop_dead_end_is_acyclic():
+    # a half-loop is its own reversal, so B is nilpotent here although
+    # has_cycle counts the half-loop as a cycle
+    g = _p3_and_half_loop()
+    assert spectral.has_cycle(g)
+    start = time.perf_counter()
+    assert spectral.hashimoto_perron(g) == (0.0, "acyclic")
+    assert time.perf_counter() - start < 0.1
+    for m in (3, 6):
+        summ = spectral.nonbacktracking_cogrowth(g, m)
+        assert summ.degenerate and summ.alpha == 0.0 and summ.method == "acyclic"
+        assert summ.rho_cover == 2.0 * math.sqrt(m - 1.0) / m
+
+
+def test_edgeless_and_matching_graphs_are_acyclic():
+    for g in (from_edges(3, []), complete_graph(2), half_loop_rose(1)):
+        assert spectral.hashimoto_perron(g) == (0.0, "acyclic")
+        assert spectral.nonbacktracking_cogrowth(g).degenerate
 
 
 def test_nonbacktracking_counts_rose_closed_form():
