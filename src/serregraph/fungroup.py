@@ -350,7 +350,8 @@ def p_k_distribution(g: SerreGraph, o: int, k: int, nmax: int = 400) -> PkDistri
     n0 = k + (k % 2)
     if nmax < n0:
         raise ValueError("nmax too small for this k")
-    t = tables_for(d, max(nmax, 2))
+    # u[k][j] for j <= k lies in the region of a bridge of length 2k
+    t = tables_for(d, max(nmax, 2 * k, 2))
     nb = _nb_counts(g, o, k)
     js = [j for j in range(k % 2, k + 1, 2) if t.u[k][j]]
 

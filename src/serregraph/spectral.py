@@ -11,8 +11,8 @@ sums when the graph is regular (in that case the all-ones vector is an exact
 positive eigenvector) and from shifted power iteration otherwise.
 
 Cogrowth's "acyclic" means B is nilpotent, so the universal cover is a
-forest. has_cycle differs: it counts a half-loop as a cycle, but a half-loop
-is its own reversal, so no non-backtracking walk takes it twice in a row.
+forest. A half-loop does not stop that: it is its own reversal, so no
+non-backtracking walk takes it twice in a row.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .core import (
     connected_components,
     distances_from,
     require_regular,
-    tree_radius,
 )
 from .exact import rho_tree
 from .report import BoundReport, Hypothesis, report
@@ -54,16 +53,24 @@ def markov_matrix(g: SerreGraph) -> np.ndarray:
     return adjacency(g).astype(np.float64) / d
 
 
-def is_bipartite(g: SerreGraph) -> bool:
-    """No edge joins two vertices whose BFS distances from their component's
-    first vertex have equal parity; a loop of either kind is such an edge."""
+def _parity_sweep(g: SerreGraph) -> tuple[bool, int]:
+    """(bipartite, number of components) from one BFS sweep: no edge joins
+    two vertices whose distances from their component's first vertex have
+    equal parity; a loop of either kind is such an edge."""
     parity = [None] * g.nv
+    comps = 0
     for v in range(g.nv):
         if parity[v] is None:
+            comps += 1
             for w, k in distances_from(g, v).items():
                 parity[w] = k & 1
     dst = g.dst
-    return all(parity[dst[e]] != parity[v] for v in range(g.nv) for e in g.out_edges(v))
+    bipartite = all(parity[dst[e]] != parity[v] for v in range(g.nv) for e in g.out_edges(v))
+    return bipartite, comps
+
+
+def is_bipartite(g: SerreGraph) -> bool:
+    return _parity_sweep(g)[0]
 
 
 def distinct_abs_desc(eigenvalues) -> list[float]:
@@ -116,14 +123,15 @@ def markov_spectrum(g: SerreGraph, residual_check: bool = False) -> SpectralSumm
         vals = np.linalg.eigvalsh(M)
     r = _rho_of(vals)
     inside = int(np.count_nonzero(np.abs(vals) < rho_tree(d) - WINDOW_GUARD))
+    bipartite, comps = _parity_sweep(g)
     return SpectralSummary(
         d=d,
         eigenvalues=vals,
         rho=r,
-        is_bipartite=is_bipartite(g),
+        is_bipartite=bipartite,
         ramanujan=bool(r <= rho_tree(d) + 1e-12),
         weakly_ramanujan_mass=Fraction(inside, g.nv),
-        n_components=len(connected_components(g)),
+        n_components=comps,
     )
 
 
@@ -264,10 +272,6 @@ def _b_operator(g: SerreGraph):
     edges feeding f, which is the reduced walk step."""
     src, dst, inv = _edge_arrays(g)
     return lambda x: _step(x, _inflow(x, dst, g.nv), src, inv)
-
-
-def has_cycle(g: SerreGraph) -> bool:
-    return any(tree_radius(g, c[0], g.nv) < g.nv for c in connected_components(g))
 
 
 def nonbacktracking_closed_counts(g: SerreGraph, o: int, nmax: int) -> list[int]:

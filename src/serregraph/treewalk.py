@@ -15,9 +15,14 @@ They satisfy c[n][k] = u[n][k] * d * (d-1)^(k-1) for k >= 1 (the sphere at
 distance k has d*(d-1)^(k-1) exchangeable vertices) and c[n][0] = u[n][0].
 c[n][0] is also the number of nullcycles of length n at any vertex of any
 d-regular graph, which is why every other module consumes these tables.
-Tables live in memory only (tables_for), one per degree, grown in place. A
-build stores u; c is derived from u by that identity on first access, and
-nullcycle counts read u[n][0] instead.
+
+Tables live in memory only (tables_for), one per degree, grown in place.
+A table of length N stores u on the bridge region only: row n holds
+k = 0..N-n+1, every distance a walk with n steps left can be at inside a
+length-N bridge, plus one spare. A read past a row raises IndexError, so a
+caller that needs u[n][k] asks for a table of length at least n + k - 1.
+c is derived from u by that identity on first access and has the same
+shape; nullcycle counts read u[n][0] instead.
 """
 
 from __future__ import annotations
@@ -31,16 +36,17 @@ import numpy as np
 from .exact import cmp_ratio_bound, rho_tree
 from .report import BoundReport, BoundViolation, report
 
-TABLE_FORMAT_VERSION = 1
+TABLE_FORMAT_VERSION = 2
 KM_TOL = 1e-10  # largest quadrature error kesten_mckay_moment accepts
 
 
 class TreeWalkTables:
     """Walk-count tables for one degree d up to length nmax.
 
-    Rows n = 0..nmax have nmax + 2 entries (k = 0..nmax + 1, zeros where
-    unreachable). tables_for grows a kept table in place; the rows that
-    existed before keep their values, only gaining zero columns.
+    Row n = 0..nmax has nmax - n + 2 entries (k = 0..nmax - n + 1), each
+    exact, zeros included where k > n or n - k is odd. tables_for grows a
+    kept table in place: every row gains the entries of the longer region
+    and keeps the ones it had.
     """
 
     __slots__ = ("d", "nmax", "_c", "u")
@@ -65,19 +71,27 @@ class TreeWalkTables:
         return self._c
 
     def _grow(self, nmax):
-        """Extend u to length nmax: widen every row to nmax + 2 entries (the
-        spare column keeps prev[k + 1] in range) and append the new rows."""
-        d, width, rows = self.d, nmax + 2, self.u
-        for row in rows:
-            row.extend([0] * (width - len(row)))
-        for n in range(self.nmax + 1, nmax + 1):
-            prev, cur = rows[n - 1], [0] * width
-            cur[0] = d * prev[1]
+        """Extend u to length nmax: widen row n to nmax - n + 2 entries,
+        computing only the new ones, and append rows old nmax + 1..nmax.
+        Row n - 1 is one entry wider than row n, so prev[k + 1] is in range."""
+        d, rows, old = self.d, self.u, self.nmax
+        rows[0].extend([0] * (nmax - old))
+        for n in range(1, nmax + 1):
+            prev, width = rows[n - 1], nmax - n + 2
+            if n <= old:
+                cur = rows[n]
+                start = len(cur)
+                cur.extend([0] * (width - start))
+            else:
+                cur, start = [0] * width, 0
+                cur[0] = d * prev[1]
+                rows.append(cur)
             # a walk changes its distance's parity every step: cur[k] = 0
-            # whenever n - k is odd
-            for k in range(2 - n % 2, n + 1, 2):
+            # whenever n - k is odd, and whenever k > n
+            k0 = max(start, 1)
+            k0 += (n - k0) % 2
+            for k in range(k0, min(n, width - 1) + 1, 2):
                 cur[k] = prev[k - 1] + (d - 1) * prev[k + 1]
-            rows.append(cur)
         self.nmax = nmax
         self._c = None
 
@@ -93,8 +107,8 @@ class TreeWalkTables:
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(f"{self.d} {self.nmax} {TABLE_FORMAT_VERSION}\n")
-            for n in range(self.nmax + 1):
-                fh.write(" ".join(str(x) for x in self.c[n][: n + 1]) + "\n")
+            for row in self.c:
+                fh.write(" ".join(str(x) for x in row) + "\n")
         os.replace(tmp, path)
         return path
 
@@ -105,13 +119,12 @@ class TreeWalkTables:
             header = fh.readline().split()
             if [int(header[0]), int(header[1]), int(header[2])] != [d, nmax, TABLE_FORMAT_VERSION]:
                 raise ValueError("cache header mismatch")
-            width = nmax + 2
             rows = []
             for n in range(nmax + 1):
                 vals = [int(tok) for tok in fh.readline().split()]
-                if len(vals) != n + 1:
+                if len(vals) != nmax - n + 2:
                     raise ValueError(f"row {n} has {len(vals)} entries")
-                rows.append(vals + [0] * (width - len(vals)))
+                rows.append(vals)
         return cls(d, nmax, _c=rows)
 
 
@@ -121,7 +134,11 @@ _MEMO: dict[int, TreeWalkTables] = {}
 def tables_for(d: int, nmax: int) -> TreeWalkTables:
     """Shared tables, one per degree, kept in memory and grown in place on
     demand, so a sampler holding them keeps drawing the same walks; nothing
-    goes to disk, and c is derived on first access."""
+    goes to disk, and c is derived on first access.
+
+    The table covers the bridge region of length at least nmax: row n holds
+    k <= nmax - n + 1, and a read past it raises IndexError. A caller that
+    reads u[n][k] outside a length-nmax bridge asks for length n + k - 1."""
     t = _MEMO.get(d)
     if t is None:
         t = _MEMO[d] = TreeWalkTables(d, nmax)
@@ -375,7 +392,7 @@ def finite_bridge_ratio(d: int, dist: int, m: int) -> float:
     times it. The limit in m is infinite_bridge_ratio(d, dist); the error
     is of order 1/m.
 
-    Exact rational (converted to float) when tables of size m are affordable;
+    Exact rational (converted to float) from the tables up to m = 2048;
     above 2048 a normalized float64 DP is used (accumulated relative error
     about m * 1e-16, far below any tolerance used on it). Its row at m serves
     every dist of one parity, and a memo of at most 64 rows keeps a run's
@@ -386,7 +403,10 @@ def finite_bridge_ratio(d: int, dist: int, m: int) -> float:
     if (m + dist + 1) % 2:
         raise ValueError("parity: m and dist+1 must have equal parity")
     if m <= 2048:
-        t = tables_for(d, max(m, 2))
+        if dist - 1 > m:
+            raise ZeroDivisionError("unreachable configuration")
+        # u[m][dist + 1] lies in the region of a bridge of length m + dist + 1
+        t = tables_for(d, m + dist + 1)
         num, den = t.u[m][dist + 1], t.u[m][dist - 1]
         if den == 0:
             raise ZeroDivisionError("unreachable configuration")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from serregraph import __version__
+from serregraph import treewalk as tw
 from serregraph.cli import main, _parse_krange, _parse_stats
 from serregraph.core import Walk, complete_graph, validate
 from serregraph.nullcycles import is_nullcycle
@@ -172,7 +173,9 @@ NULLCYCLE_CFG3_256 = (
 )
 
 
-def test_nullcycle_sample_output_is_pinned(cfg3_256_path, capsys):
+def test_nullcycle_sample_output_is_pinned(cfg3_256_path, capsys, monkeypatch):
+    # tables built at the job's own length, as in a fresh process
+    monkeypatch.setattr(tw, "_MEMO", {})
     args = ["nullcycle", "sample", "--in", cfg3_256_path, "--root", "0", "--n", "40",
             "--count", "4", "--seed", "7", "--stats", "visits,chi:k=2:l=50"]
     assert main(args) == 0
@@ -262,7 +265,8 @@ WALKS_CFG3_256 = (
 )
 
 
-def test_bounds_walks_output_is_pinned(cfg3_256_path, capsys):
+def test_bounds_walks_output_is_pinned(cfg3_256_path, capsys, monkeypatch):
+    monkeypatch.setattr(tw, "_MEMO", {})
     args = ["bounds", "verify", "--in", cfg3_256_path, "--suite", "chi,visits", "--k", "2,3",
             "--n", "200", "--samples", "250", "--seed", "5"]
     assert main(args) == 0

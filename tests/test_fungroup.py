@@ -382,7 +382,7 @@ def test_limit_weights_reproduce_bridge_ratios():
 
 def test_limit_weight_matches_table_tail():
     # u[n][j]/u[n][0] -> (1 + j(d-2)/d)(d-1)^(-j/2)
-    t = tables_for(3, 400)
+    t = tables_for(3, 402)  # u[400][2] is in a length-402 bridge
     want = Fraction(5, 3) / 2
     got = Fraction(t.u[400][2], t.u[400][0])
     assert abs(float(got) - float(want)) < 0.01

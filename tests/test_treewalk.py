@@ -48,7 +48,8 @@ def sphere_counts(d, n):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_c_table_matches_ball_propagation(d):
-    t = tw.tables_for(d, 8)
+    # rows n <= 8 hold every k <= n in a table of length 16
+    t = tw.tables_for(d, 16)
     for n in range(9):
         hist = sphere_counts(d, n)
         for k in range(n + 1):
@@ -66,13 +67,14 @@ def test_u_table_matches_ball_propagation(d):
             dist = core.distances_from(g, 0)
             start = min(v for v, dv in dist.items() if dv == k)
             vec = propagate(g, start, n)
-            t = tw.tables_for(d, n)
+            t = tw.tables_for(d, n + k)  # u[n][k] is in a length-(n + k) bridge
             assert t.u[n][k] == vec[0], (d, n, k)
 
 
 def test_row_sums_and_cross_identity():
     for d in (2, 3, 4, 6):
-        t = tw.tables_for(d, 30)
+        # rows n <= 30 hold every k <= n in a table of length 60
+        t = tw.tables_for(d, 60)
         for n in range(31):
             assert sum(t.c[n]) == d ** n
             for k in range(1, n + 1):
@@ -83,7 +85,7 @@ def test_row_sums_and_cross_identity():
 @given(d=st.integers(2, 7), n=st.integers(0, 60))
 @settings(max_examples=40, deadline=None)
 def test_row_sum_property(d, n):
-    t = tw.tables_for(d, n)
+    t = tw.tables_for(d, 2 * n)
     assert sum(t.c[n][: n + 2]) == d ** n
 
 
@@ -337,6 +339,8 @@ def test_table_cache_roundtrip(tmp_path):
     assert path.endswith(".txt")
     t2 = tw.TreeWalkTables.load(5, 12, str(tmp_path))
     assert t2.c == t.c and t2.u == t.u
+    rows = open(path).read().splitlines()[1:]
+    assert [len(row.split()) for row in rows] == [12 - n + 2 for n in range(13)]
     with pytest.raises(FileNotFoundError):
         tw.TreeWalkTables.load(5, 14, str(tmp_path))
 
@@ -344,7 +348,9 @@ def test_table_cache_roundtrip(tmp_path):
 def test_table_cache_header_guard(tmp_path):
     t = tw.TreeWalkTables(3, 4)
     path = t.save(str(tmp_path))
-    text = open(path).read().replace("3 4 1", "3 4 9", 1)
+    header = f"3 4 {tw.TABLE_FORMAT_VERSION}"
+    assert open(path).readline() == header + "\n"
+    text = open(path).read().replace(header, "3 4 9", 1)
     open(path, "w").write(text)
     with pytest.raises(ValueError):
         tw.TreeWalkTables.load(3, 4, str(tmp_path))
@@ -394,11 +400,16 @@ def _c_eager(d, nmax):
     return rows
 
 
+def _region(rows, nmax):
+    """The bridge region of full-width rows: row n cut to nmax - n + 2 entries."""
+    return [row[: nmax - n + 2] for n, row in enumerate(rows[: nmax + 1])]
+
+
 def test_lazy_c_equals_the_eager_dp():
     for d in range(1, 8):
         t = tw.TreeWalkTables(d, 40)
         assert t._c is None
-        assert t.c == _c_eager(d, 40)
+        assert t.c == _region(_c_eager(d, 40), 40)
         assert t.c is t._c
 
 
@@ -425,7 +436,67 @@ def _u_full(d, nmax):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_parity_skipping_tables_equal_the_full_recurrence(d):
     for nmax in (0, 1, 2, 7, 60):
-        assert tw.TreeWalkTables(d, nmax).u == _u_full(d, nmax)
+        assert tw.TreeWalkTables(d, nmax).u == _region(_u_full(d, nmax), nmax)
     grown = tw.TreeWalkTables(d, 13)
     grown._grow(60)
-    assert grown.u == _u_full(d, 60)
+    assert grown.u == _region(_u_full(d, 60), 60)
+
+
+# -- the bridge region ------------------------------------------------------
+
+
+@given(d=st.integers(1, 7),
+       lengths=st.lists(st.integers(0, 80), min_size=2, max_size=2, unique=True).map(sorted))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_tables_hold_exactly_the_bridge_region(d, lengths):
+    n1, n2 = lengths
+    full = _u_full(d, n2)
+    t = tw.TreeWalkTables(d, n1)
+    for nmax in (n1, n2):
+        assert [len(row) for row in t.u] == [nmax - n + 2 for n in range(nmax + 1)]
+        assert t.u == _region(full, nmax)
+        for n, row in enumerate(t.u):
+            with pytest.raises(IndexError):
+                row[nmax - n + 2]
+        t._grow(n2)
+    fresh = tw.TreeWalkTables(d, n2)
+    assert t.u == fresh.u and t.c == fresh.c
+
+
+def test_length_600_table_stores_only_the_region(monkeypatch):
+    monkeypatch.setattr(tw, "_MEMO", {})
+    t = tw.tables_for(3, 600)
+    region = sum(600 - n + 2 for n in range(601))
+    assert sum(map(len, t.u)) == region == sum(map(len, t.c))
+
+
+def test_readers_past_the_region_ask_for_their_length(monkeypatch):
+    from serregraph.core import petersen
+    from serregraph.fungroup import p_k_distribution
+
+    monkeypatch.setattr(tw, "_MEMO", {})
+    assert tw.finite_bridge_ratio(3, 2, 11) == 0.4680770683792973
+    with pytest.raises(ZeroDivisionError):  # |x_minus| > m: no table is built for it
+        tw.finite_bridge_ratio(3, 9, 2)
+    assert tw._MEMO[3].nmax == 14
+    monkeypatch.setattr(tw, "_MEMO", {})
+    pk = p_k_distribution(petersen(), 0, 6, 8)
+    a, b = Fraction(55, 512), Fraction(181, 3072)
+    assert pk.values == {0: Fraction(183, 1024), 1: b, 2: a, 3: a, 4: b, 5: b, 6: a, 7: a,
+                         8: a, 9: a}
+    c = Fraction(47, 543)
+    assert pk.at_n == {0: Fraction(87, 181), 2: c, 3: c, 6: c, 7: c, 8: c, 9: c}
+    assert pk.n_reached == 8
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_sampler_distribution_uniform_at_table_length_n(n, monkeypatch):
+    from serregraph.core import petersen
+    from serregraph.nullcycles import sampler_distribution
+
+    monkeypatch.setattr(tw, "_MEMO", {})
+    dist = sampler_distribution(petersen(), 0, n)
+    assert tw._MEMO[3].nmax == n
+    count = tw.nullcycle_count(3, n)
+    assert len(dist) == count
+    assert set(dist.values()) == {Fraction(1, count)}
