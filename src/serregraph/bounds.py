@@ -18,7 +18,7 @@ from .exact import rho_tree
 from .nullcycles import NullcycleSampler, _unbalanced_edge, chi_statistic, enumerate_nullcycles
 from .report import BoundReport, Hypothesis, report, upper
 from .spectral import diag_power_counts_batch, markov_spectrum
-from .treewalk import tables_for
+from .treewalk import nullcycle_count
 
 __all__ = [
     "nu_k",
@@ -225,7 +225,6 @@ def thm_43_lower(
     *,
     samples: int = 20000,
     seed: int = 0,
-    enum_budget: int = EXACT_BUDGET,
 ) -> BoundReport:
     """#closed nk-walks at root >= (1/14) sum over nullcycles of exp(c_k chi/ell).
 
@@ -240,9 +239,9 @@ def thm_43_lower(
     lv = ell(d, k)
     ck = float(c_k(d, k))
     closed = _closed_walks(g, root, nk)
-    ncount = tables_for(d, max(nk, 2)).u[nk][0]
+    ncount = nullcycle_count(d, nk)
     notes = ""
-    if d ** nk <= enum_budget:
+    if d ** nk <= EXACT_BUDGET:
         total = 0.0
         for edges in enumerate_nullcycles(g, root, nk):
             w = Walk(root, edges)
@@ -403,9 +402,3 @@ def ess_girth_bound(size: int, d: int, alpha: float, beta: float, eps: float) ->
         radius=beta * math.log(math.log(size)),
         envelope=math.log(size) ** (-eps),
     )
-
-
-def constants_consistent(d: int, k: int) -> bool:
-    """The chaining inequality c_k / (30 (4d-4)^k ell k) >= 1/nu_k, exact."""
-    lhs = c_k(d, k) / (30 * (4 * d - 4) ** k * ell(d, k) * k)
-    return lhs >= Fraction(1, nu_k(d, k))

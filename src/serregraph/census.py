@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import SerreGraph, distances_from, tree_radius, validate
+from .exact import frac_str
 
 ENUM_BUDGET = 10 ** 8
 
@@ -78,20 +79,20 @@ def _count_closed_nontrivial(g: SerreGraph, v: int, k: int) -> int:
     return total
 
 
-def _check_budget(g: SerreGraph, k: int, budget: int) -> None:
+def _check_budget(g: SerreGraph, k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
     dmax = max(g.degrees, default=0)
-    if dmax ** k > budget:
+    if dmax ** k > ENUM_BUDGET:
         raise ValueError(
-            f"enumeration budget exceeded: {dmax}^{k} > {budget}; "
-            "use gamma_k_mc (CLI flag --mc) for a Monte Carlo estimate"
+            f"enumeration budget exceeded: {dmax}^{k} > {ENUM_BUDGET}; "
+            "use census.gamma_k_mc for a Monte Carlo estimate"
         )
 
 
-def gamma_k(g: SerreGraph, v: int, k: int, budget: int = ENUM_BUDGET) -> int:
+def gamma_k(g: SerreGraph, v: int, k: int) -> int:
     """Number of nontrivial closed k-walks starting at v (exact enumeration)."""
-    _check_budget(g, k, budget)
+    _check_budget(g, k)
     return _count_closed_nontrivial(g, v, k)
 
 
@@ -133,14 +134,14 @@ class CycleCensus:
             "k": self.k,
             "total": self.total,
             "density": float(self.density),
-            "density_exact": f"{self.density.numerator}/{self.density.denominator}",
+            "density_exact": frac_str(self.density),
             "max_per_vertex": max(self.per_vertex),
             "min_per_vertex": min(self.per_vertex),
         }
 
 
 def cycle_census(g: SerreGraph, k: int) -> CycleCensus:
-    _check_budget(g, k, ENUM_BUDGET)
+    _check_budget(g, k)
     per = tuple(0 if tree_radius(g, v, k // 2) == k // 2 else _count_closed_nontrivial(g, v, k)
                 for v in range(g.nv))
     total = sum(per)

@@ -407,8 +407,12 @@ def _walk_inflows(nv: int, edges, o, nmax: int, reduced: bool):
 
     Counts run in uint64 while the max-degree cap (D^n for all walks,
     D(D-1)^(n-1) for reduced walks) is below 2^64, and in Python ints
-    (object arrays) after that.
+    (object arrays) after that. A root outside 0..nv-1 raises ValueError.
     """
+    roots = np.atleast_1d(o)
+    bad = roots[(roots < 0) | (roots >= nv)]
+    if bad.size:
+        raise ValueError(f"root {bad[0]} is not a vertex (0..{nv - 1})")
     src, dst, inv = edges
     dmax = int(np.bincount(src).max()) if len(src) else 0
     cols = np.shape(o)

@@ -25,7 +25,6 @@ from .treewalk import return_probability, tables_for
 
 __all__ = [
     "homotopy_class",
-    "is_nullhomotopic",
     "KappaEstimate",
     "kappa_estimate",
     "PkDistribution",
@@ -39,16 +38,16 @@ __all__ = [
 # p_k_distribution stops iterating in n once consecutive finite-n marginals
 # are this close in total variation
 TV_TOL = Fraction(1, 10 ** 8)
+# kappa_estimate truncates its word DP past STATE_BUDGET reduced words, and
+# walk sets are enumerated up to WALK_BUDGET prefixes
+STATE_BUDGET = 200_000
+WALK_BUDGET = 2 * 10 ** 6
 
 
 def homotopy_class(g: SerreGraph, walk: Walk) -> tuple[int, ...]:
     """Fully reduced edge word of the walk; empty iff nullhomotopic."""
     walk.vertices(g)  # raises if the edge sequence is not a walk
     return reduce_word(g, walk.edges)
-
-
-def is_nullhomotopic(g: SerreGraph, walk: Walk) -> bool:
-    return homotopy_class(g, walk) == ()
 
 
 def _word_inv(g: SerreGraph, word) -> tuple[int, ...]:
@@ -67,7 +66,7 @@ def _word_mul(g: SerreGraph, a, b) -> tuple[int, ...]:
     return tuple(a[: i + 1]) + tuple(b[j:])
 
 
-def _walks_between(g: SerreGraph, x: int, y: int, k: int, budget: int) -> list[tuple[int, ...]]:
+def _walks_between(g: SerreGraph, x: int, y: int, k: int) -> list[tuple[int, ...]]:
     if k < 1:
         raise ValueError("k must be >= 1")
     dst = g.dst
@@ -82,8 +81,8 @@ def _walks_between(g: SerreGraph, x: int, y: int, k: int, budget: int) -> list[t
             continue
         for e in g.out_edges(v):
             seen += 1
-            if seen > budget:
-                raise ValueError(f"more than {budget} walk prefixes of length {k}")
+            if seen > WALK_BUDGET:
+                raise ValueError(f"more than {WALK_BUDGET} walk prefixes of length {k}")
             stack.append((dst[e], prefix + (e,)))
     return out
 
@@ -168,8 +167,6 @@ def kappa_estimate(
     u_path=None,
     v_path=None,
     method: str = "auto",
-    state_budget: int = 200_000,
-    walk_budget: int = 2 * 10 ** 6,
     samples: int = 20000,
     seed: int = 0,
 ) -> KappaEstimate:
@@ -182,7 +179,7 @@ def kappa_estimate(
 
     method "auto" uses exact tree tables when the reduced walk set is a
     free symmetric letter set (loop bouquets), otherwise an exact rational
-    DP over reduced words. State blowup past state_budget truncates the
+    DP over reduced words. State blowup past STATE_BUDGET truncates the
     sequence at the achieved m rather than erroring. method "mc" runs a
     seeded sampler instead; its kappa values carry stderr and no exactness.
     """
@@ -191,7 +188,7 @@ def kappa_estimate(
     for name, v in (("x", x), ("y", y)):
         if not 0 <= v < g.nv:
             raise ValueError(f"{name} = {v} is not a vertex (0..{g.nv - 1})")
-    W = _walks_between(g, x, y, k, walk_budget)
+    W = _walks_between(g, x, y, k)
     if not W:
         raise ValueError(f"no walks of length {k} from {x} to {y}")
     if (u_path is None) != (v_path is None):
@@ -282,7 +279,7 @@ def kappa_estimate(
                     if len(w2) > cap:
                         continue
                     new[w2] = new.get(w2, Fraction(0)) + pr * q
-        if len(new) > state_budget:
+        if len(new) > STATE_BUDGET:
             truncated = True
             break
         state = new
@@ -324,12 +321,10 @@ class PkDistribution:
     stabilized: bool
     tv_last: Fraction
 
-    def tv_from_limit(self) -> Fraction:
-        keys = set(self.values) | set(self.at_n)
-        return (
-            sum(abs(self.values.get(x, Fraction(0)) - self.at_n.get(x, Fraction(0))) for x in keys)
-            / 2
-        )
+
+def _tv(a: dict[int, Fraction], b: dict[int, Fraction]) -> Fraction:
+    """Total-variation distance of two distributions given as sparse dicts."""
+    return sum(abs(a.get(x, Fraction(0)) - b.get(x, Fraction(0))) for x in set(a) | set(b)) / 2
 
 
 def p_k_distribution(g: SerreGraph, o: int, k: int, nmax: int = 400) -> PkDistribution:
@@ -373,8 +368,7 @@ def p_k_distribution(g: SerreGraph, o: int, k: int, nmax: int = 400) -> PkDistri
     while n + 2 <= nmax:
         n += 2
         cur = dist_at(n)
-        keys = set(prev) | set(cur)
-        tv = sum(abs(cur.get(x, Fraction(0)) - prev.get(x, Fraction(0))) for x in keys) / 2
+        tv = _tv(cur, prev)
         prev = cur
         if tv < TV_TOL:
             stabilized = True
@@ -465,7 +459,7 @@ def lemma_basic_check(g: SerreGraph, o: int, x: int, w_path, k: int) -> BoundRep
             raise ValueError("w_path must run from x to o")
     elif x != o:
         raise ValueError("empty w_path requires x == o")
-    W = _walks_between(g, o, x, k, 2 * 10 ** 6)
+    W = _walks_between(g, o, x, k)
     if not W:
         raise ValueError(f"no walks of length {k} from {o} to {x}")
     est = kappa_estimate(g, o, x, k, mmax=6)

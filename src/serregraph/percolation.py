@@ -179,8 +179,6 @@ def cover_sphere_sizes(g: SerreGraph, root: int, nmax: int) -> list[int]:
     percolation cluster never does). Counts are exact, in uint64 while the
     d(d-1)^(n-1) cap fits and in Python ints after that.
     """
-    if not 0 <= root < g.nv:
-        raise ValueError("root out of range")
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     edges = src, dst, inv = _edge_arrays(g)

@@ -213,6 +213,9 @@ def diag_power_counts_batch(g: SerreGraph, ts) -> dict[int, np.ndarray]:
 def hitting_probabilities(g: SerreGraph, o: int, targets, nmax: int) -> list[Fraction]:
     d = require_regular(g)
     tset = set(targets)
+    for v in sorted(tset):
+        if not 0 <= v < g.nv:
+            raise ValueError(f"target {v} is not a vertex (0..{g.nv - 1})")
     counts = walk_counts(g, o, nmax)
     return [
         Fraction(sum(counts[n][a] for a in tset), d ** n) for n in range(nmax + 1)
@@ -252,19 +255,6 @@ def hitting_bound_check(g: SerreGraph, o: int, targets, nmax: int) -> BoundRepor
 
 
 # -- non-backtracking operator and cogrowth ---------------------------------
-
-
-def hashimoto_matrix(g: SerreGraph) -> np.ndarray:
-    """Dense edge-to-edge operator: B[e, f] = 1 iff f continues e without
-    immediate reversal. Intended for small graphs; iteration is matrix-free."""
-    if g.ne > 4000:
-        raise ValueError("dense operator too large; use the matrix-free path")
-    B = np.zeros((g.ne, g.ne), dtype=np.float64)
-    for e, (w, back) in enumerate(zip(g.dst, g.inv)):
-        for f in g.out_edges(w):
-            if f != back:
-                B[e, f] = 1.0
-    return B
 
 
 def _b_operator(g: SerreGraph):
@@ -388,11 +378,6 @@ def radial_weight(d: int, n: int) -> float:
     """g(n) = (d + (d-2) n) / (d sqrt(d-1)^n); g(0) = 1 and
     (1/d)(g(n-1) + (d-1) g(n+1)) = (2 sqrt(d-1)/d) g(n)."""
     return (d + (d - 2) * n) / (d * math.sqrt(d - 1.0) ** n)
-
-
-def radial_identity_residual(d: int, n: int) -> float:
-    lhs = (radial_weight(d, n - 1) + (d - 1) * radial_weight(d, n + 1)) / d
-    return abs(lhs - rho_tree(d) * radial_weight(d, n))
 
 
 def rayleigh_lower_bound(b: Ball, d: int, R: int) -> float:

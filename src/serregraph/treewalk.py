@@ -3,7 +3,7 @@
 Everything here is arbitrary-precision integer or exact rational; bound
 comparisons are exact rational, floats appear only in reported margins and
 in the explicitly approximate helpers (quadrature, large-length normalized
-DP, Monte Carlo).
+DP).
 
 Core tables, for the infinite d-regular tree rooted at o:
 
@@ -150,14 +150,12 @@ def tables_for(d: int, nmax: int) -> TreeWalkTables:
 # -- return probabilities -------------------------------------------------
 
 
-def return_probability(d: int, n: int, allow_odd: bool = False) -> Fraction:
+def return_probability(d: int, n: int) -> Fraction:
     """r_n = c[n][0] / d^n, the n-step return probability on the tree."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n % 2:
-        if allow_odd:
-            return Fraction(0)
-        raise ValueError("odd n has r_n = 0; pass allow_odd=True to get it")
+        raise ValueError("odd n has r_n = 0")
     t = tables_for(d, n)
     return Fraction(t.u[n][0], d ** n)
 
@@ -327,39 +325,6 @@ def bridge_visit_expectation(d: int, k: int, n: int) -> Fraction:
     if not val <= bound:
         raise BoundViolation(f"bridge visit bound failed: d={d} k={k} n={n} E={val} > {bound}")
     return val
-
-
-def bridge_visit_mc(d: int, k: int, n: int, samples: int, seed: int) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) of the same expectation.
-
-    Simulates only the distance chain, vectorized across samples; transition
-    probabilities are float64 (bias ~1e-16, irrelevant at 3 sigma).
-    """
-    if n % 2:
-        raise ValueError("n must be even")
-    t = tables_for(d, n)
-    # pup[j][x] = P(step up | at distance x after j steps)
-    pup = np.zeros((n, n + 2))
-    for j in range(n):
-        m = n - j
-        cap = min(j, n - j)
-        for x in range(cap + 1):
-            if (j + x) % 2:
-                continue
-            up = (d if x == 0 else d - 1) * t.u[m - 1][x + 1]
-            pup[j, x] = up / t.u[m][x]
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    x = np.zeros(samples, dtype=np.int64)
-    visits = np.zeros(samples, dtype=np.int64)
-    if k == 0:
-        visits += 1
-    for j in range(n):
-        go_up = rng.random(samples) < pup[j, x]
-        x = np.where(go_up, x + 1, x - 1)
-        visits += x == k
-    mean = visits.mean()
-    se = visits.std(ddof=1) / math.sqrt(samples)
-    return float(mean), float(se)
 
 
 def infinite_bridge_ratio(d: int, dist: int) -> Fraction:

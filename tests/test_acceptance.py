@@ -57,6 +57,7 @@ from serregraph.treewalk import (
     infinite_bridge_ratio,
     kesten_mckay_moment,
     return_probability,
+    tables_for,
 )
 
 
@@ -138,7 +139,7 @@ def test_exact_return_probabilities_stay_inside_two_sided_envelope():
 def test_quadrature_moments_match_exact_walk_returns():
     worst = 0.0
     for d in range(3, 11):
-        assert return_probability(d, 3, allow_odd=True) == 0
+        assert tables_for(d, 3).u[3][0] == 0
         for n in range(0, 101, 2):
             m = kesten_mckay_moment(d, n)
             r = float(return_probability(d, n))

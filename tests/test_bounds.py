@@ -42,9 +42,11 @@ def test_constants_frozen_values():
 
 
 def test_constants_chain_consistently():
+    # c_k / (30 (4d-4)^k ell k) >= 1/nu_k, exact
     for d in (3, 4, 5, 6):
         for k in (1, 2, 3, 4):
-            assert bounds.constants_consistent(d, k), (d, k)
+            lhs = bounds.c_k(d, k) / (30 * (4 * d - 4) ** k * bounds.ell(d, k) * k)
+            assert lhs >= Fraction(1, bounds.nu_k(d, k)), (d, k)
 
 
 def test_constants_domain_errors():
@@ -184,10 +186,12 @@ def test_chi_exp_lower_enumerated_desk_cases():
     assert rep2.notes == ""
 
 
-def test_chi_exp_lower_monte_carlo_route():
+def test_chi_exp_lower_monte_carlo_route(monkeypatch):
     g = configuration_model(3, 64, seed=0)
     root = next(v for v in range(g.nv) if gamma_k(g, v, 2) > 0)
-    rep = bounds.thm_43_lower(g, root, 3, 2, enum_budget=10, samples=4000, seed=5)
+    with monkeypatch.context() as m:
+        m.setattr(bounds, "EXACT_BUDGET", 10)
+        rep = bounds.thm_43_lower(g, root, 3, 2, samples=4000, seed=5)
     assert "Monte Carlo" in rep.notes
     assert rep.tolerance > 0
     assert rep.verdict in OK

@@ -194,7 +194,7 @@ def test_census_uniform_petersen(pet_path, tmp_path, capsys):
     assert len(lines) == 11
     assert all(line.endswith(",12") for line in lines[1:])
     data = json.loads(jpath.read_text())
-    assert data["density_exact"] == "12/1"
+    assert data["density_exact"] == "12"
     assert data["mean"] == "12"
     assert data["nv"] == 10
 
@@ -210,6 +210,24 @@ def test_census_mc_column(k4_path, capsys):
     for line in lines[1:5]:
         _, exact, mc = line.split(",")
         assert float(mc) == pytest.approx(float(exact), abs=0.35)
+
+
+def test_census_over_budget_names_what_works(pet_path, capsys):
+    # --mc runs the exact census too, so the error must not point to it
+    assert main(["census", "--in", pet_path, "--k", "17", "--mc"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: enumeration budget exceeded: 3^17 > 100000000")
+    assert "census.gamma_k_mc" in err and "--mc" not in err
+
+
+def test_census_json_renders_a_zero_density_as_zero(tmp_path, capsys):
+    from serregraph.core import tree_ball
+
+    graph, jpath = tmp_path / "tree.sgf", tmp_path / "cen.json"
+    graph.write_text(dumps(tree_ball(3, 2).graph))
+    assert main(["census", "--in", str(graph), "--k", "4", "--json-out", str(jpath)]) == 0
+    data = json.loads(jpath.read_text())
+    assert data["density_exact"] == data["mean"] == "0"
 
 
 # -- bounds verify -----------------------------------------------------------------
@@ -799,6 +817,22 @@ def test_percolation_growth_executes_no_unrelated_layer():
     assert rc == "0"
     for name in ("bounds", "census", "fungroup", "nullcycles", "spectral", "treewalk"):
         assert f"'{name}'" not in executed
+
+
+def test_tracer_installs_every_binding_and_writes_spans(tmp_path):
+    # perfbench/tracer.py looks each TARGETS name up by string; a deleted
+    # name stops every traced benchmark job before it starts
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(tracer), str(spans), "cli", "treewalk", "tables", "--d", "3",
+         "--nmax", "4"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(spans.read_text())["spans"]
+    assert recorded[0][:2] == ["cli.run", "cli"]
+    assert any(rec[0] == "tables_for" for rec in recorded)
 
 
 def test_module_entry_point():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from serregraph import fungroup
 from serregraph.core import (
     Walk,
     complete_graph,
@@ -21,8 +22,8 @@ from serregraph.exact import rho_tree
 from serregraph.fungroup import (
     KappaEstimate,
     _path_to,
+    _tv,
     homotopy_class,
-    is_nullhomotopic,
     kappa_estimate,
     kappa_star,
     lemma_basic_check,
@@ -74,7 +75,7 @@ def test_backtrack_pair_reduces_to_identity():
     e = 0
     w = Walk(g.src[e], (e, int(g.inv[e])))
     assert homotopy_class(g, w) == ()
-    assert is_nullhomotopic(g, w)
+    assert is_nullcycle(g, w)
 
 
 def test_triangle_is_not_nullhomotopic():
@@ -119,7 +120,7 @@ def test_sampled_nullcycles_are_nullhomotopic():
     g = petersen()
     s = NullcycleSampler(g, 0, 8)
     for w in s.draws(200, seed=11):
-        assert is_nullhomotopic(g, w)
+        assert homotopy_class(g, w) == ()
 
 
 def test_nullhomotopic_iff_nullcycle_on_closed_walks():
@@ -127,7 +128,7 @@ def test_nullhomotopic_iff_nullcycle_on_closed_walks():
     for n in (2, 4):
         for w in _closed_walks(g, 0, n):
             walk = Walk(0, w)
-            assert is_nullhomotopic(g, walk) == is_nullcycle(g, walk)
+            assert (homotopy_class(g, walk) == ()) == is_nullcycle(g, walk)
 
 
 # -- kappa estimates ----------------------------------------------------------
@@ -254,14 +255,16 @@ def test_monte_carlo_rejects_zero_samples():
         kappa_estimate(rose(2), 0, 0, 1, 2, method="mc", samples=0)
 
 
-def test_state_budget_truncates_or_raises():
+def test_state_budget_truncates_or_raises(monkeypatch):
     g = complete_graph(4)
-    est = kappa_estimate(g, 0, 0, 3, 3, state_budget=1500)
+    monkeypatch.setattr(fungroup, "STATE_BUDGET", 1500)
+    est = kappa_estimate(g, 0, 0, 3, 3)
     assert est.truncated
     assert est.achieved_m == 1
     assert est.p_even == [Fraction(11, 216)]
+    monkeypatch.setattr(fungroup, "STATE_BUDGET", 400)
     with pytest.raises(ValueError):
-        kappa_estimate(g, 0, 0, 3, 3, state_budget=400)
+        kappa_estimate(g, 0, 0, 3, 3)
 
 
 def test_no_walks_between_adjacent_petersen_vertices():
@@ -272,9 +275,10 @@ def test_no_walks_between_adjacent_petersen_vertices():
         kappa_estimate(disjoint_union(complete_graph(4), complete_graph(4)), 0, 4, 3, 2)
 
 
-def test_walk_budget_raises():
+def test_walk_budget_raises(monkeypatch):
+    monkeypatch.setattr(fungroup, "WALK_BUDGET", 5)
     with pytest.raises(ValueError):
-        kappa_estimate(complete_graph(4), 0, 0, 3, 1, walk_budget=5)
+        kappa_estimate(complete_graph(4), 0, 0, 3, 1)
 
 
 def test_base_path_validation():
@@ -342,8 +346,8 @@ def test_approach_rate_is_one_over_n():
     far = p_k_distribution(g, 0, 2, nmax=100)
     assert not near.stabilized  # 1/n decay never meets the printed threshold here
     assert not far.stabilized
-    d_far = far.tv_from_limit()
-    d_near = near.tv_from_limit()
+    d_far = _tv(far.values, far.at_n)
+    d_near = _tv(near.values, near.at_n)
     assert 0 < d_near < d_far
     ratio = d_far / d_near
     assert 2 < ratio < 8  # ~4 expected from halving 1/n twice

@@ -242,9 +242,20 @@ def test_hitting_bound_petersen_sweep():
 # -- non-backtracking operator ------------------------------------------------
 
 
+def _hashimoto_matrix(g):
+    """Dense edge-to-edge operator: B[e, f] = 1 iff f continues e without
+    immediate reversal."""
+    B = np.zeros((g.ne, g.ne), dtype=np.float64)
+    for e, (w, back) in enumerate(zip(g.dst, g.inv)):
+        for f in g.out_edges(w):
+            if f != back:
+                B[e, f] = 1.0
+    return B
+
+
 def test_hashimoto_matrix_agrees_with_matrix_free():
     g = petersen()
-    B = spectral.hashimoto_matrix(g)
+    B = _hashimoto_matrix(g)
     rng = np.random.default_rng(3)
     for _ in range(5):
         x = rng.random(g.ne)
@@ -281,7 +292,7 @@ def test_hashimoto_acyclic_iff_b_is_nilpotent():
     from tests.test_core import tree_radius_fixtures
 
     for g in tree_radius_fixtures() + [_p3_and_half_loop()]:
-        nilpotent = not np.linalg.matrix_power(spectral.hashimoto_matrix(g) > 0, g.ne).any()
+        nilpotent = not np.linalg.matrix_power(_hashimoto_matrix(g) > 0, g.ne).any()
         assert (spectral.hashimoto_perron(g)[1] == "acyclic") == nilpotent, g
 
 
@@ -374,10 +385,13 @@ def test_covering_spectrum_containment():
 
 
 def test_radial_identity():
+    # (1/d)(g(n-1) + (d-1) g(n+1)) = rho(T_d) g(n)
+    w = spectral.radial_weight
     for d in (3, 4, 5, 6):
-        assert spectral.radial_weight(d, 0) == 1.0
+        assert w(d, 0) == 1.0
         for n in range(1, 31):
-            assert spectral.radial_identity_residual(d, n) < 1e-12
+            lhs = (w(d, n - 1) + (d - 1) * w(d, n + 1)) / d
+            assert abs(lhs - rho_tree(d) * w(d, n)) < 1e-12
 
 
 def test_rayleigh_on_tree_converges_from_below():

@@ -25,7 +25,8 @@ from serregraph.core import (
 from serregraph.fungroup import _nb_counts
 from serregraph.nullcycles import nonbacktracking_hit_fractions
 from serregraph.percolation import cover_sphere_sizes, percolate
-from serregraph.spectral import _b_operator, nonbacktracking_closed_counts, walk_counts
+from serregraph.spectral import (_b_operator, hitting_probabilities, nonbacktracking_closed_counts,
+                                 walk_counts)
 
 
 def ref_walk_counts(g, o, nmax):
@@ -216,3 +217,28 @@ def test_root_block_equals_stacked_single_root_runs(g, reduced):
         assert all(one[step].dtype == inflow.dtype for one in single)
         assert inflow.T.tolist() == [one[step].tolist() for one in single]
     _assert_ints(_flat(block[-1].tolist()))
+
+
+@pytest.mark.parametrize("root", [-1, 10, np.array([0, 10]), np.array([-1, 3])],
+                         ids=["neg", "past-end", "block-past-end", "block-neg"])
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+def test_kernel_rejects_roots_off_the_graph(root, reduced):
+    # a negative root used to index from the end: vertex 9's counts for -1
+    g = petersen()
+    bad = root if np.ndim(root) == 0 else root[(root < 0) | (root >= g.nv)][0]
+    with pytest.raises(ValueError, match=f"root {bad} is not a vertex \\(0..9\\)"):
+        next(_walk_inflows(g.nv, _edge_arrays(g), root, 2, reduced))
+
+
+@pytest.mark.parametrize("reader", [walk_counts, nonbacktracking_closed_counts, _nb_counts,
+                                    cover_sphere_sizes])
+def test_kernel_readers_reject_root_minus_one(reader):
+    with pytest.raises(ValueError, match="root -1 is not a vertex"):
+        reader(petersen(), -1, 2)
+
+
+@pytest.mark.parametrize("target", [-1, 10])
+def test_hitting_probabilities_rejects_targets_off_the_graph(target):
+    # -1 used to count vertex 9's walks as hits
+    with pytest.raises(ValueError, match=f"target {target} is not a vertex \\(0..9\\)"):
+        hitting_probabilities(petersen(), 0, [0, target], 2)
