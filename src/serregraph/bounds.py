@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import cycle_census, gamma_k
+from .census import gamma_k
 from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, require_regular
 from .exact import rho_tree
 from .nullcycles import NullcycleSampler, _unbalanced_edge, chi_statistic, enumerate_nullcycles
 from .report import BoundReport, Hypothesis, report, upper
-from .spectral import diag_power_counts_batch, markov_spectrum
 from .treewalk import nullcycle_count
 
 __all__ = [
@@ -70,35 +69,20 @@ def _logb(x: float, base: float) -> float:
     return math.log(x) / math.log(base)
 
 
-def _rho_and_gamma(g, k, rho_value, gamma_mean):
-    if rho_value is None:
-        rho_value = markov_spectrum(g).rho
-    if gamma_mean is None:
-        gamma_mean = cycle_census(g, k).density
-    return rho_value, gamma_mean
-
-
 def thm_main_finite(
-    g: SerreGraph,
-    k: int,
-    *,
-    base: str = "d",
-    rho_value: float | None = None,
-    gamma_mean: Fraction | None = None,
+    g: SerreGraph, k: int, rho_value: float, gamma_mean: Fraction, *, base: str = "d"
 ) -> BoundReport:
     """rho(G)/rho(T_d) >= 1 + E gamma_k / nu_k - (1.5 log_b log_b |G| + 6)/log_b |G|.
 
     base="d" is the display as printed; base="d-1" is the variant the
     derivation actually produces (the printed form subtracts a larger term
     at these sizes, so it is the weaker inequality). Requires |G| >= 8d.
-    rho_value/gamma_mean can be injected to share eigensolves across k.
     """
     d = require_regular(g)
     _check_dk(d, k)
     if base not in ("d", "d-1"):
         raise ValueError("base must be 'd' or 'd-1'")
     b = d if base == "d" else d - 1
-    rho_value, gamma_mean = _rho_and_gamma(g, k, rho_value, gamma_mean)
     size_ok = Hypothesis("|G| >= 8d", g.nv >= 8 * d, f"|G|={g.nv}, 8d={8*d}")
     lg = _logb(g.nv, b)
     # log_b log_b |G| is undefined on one vertex, where |G| >= 8d fails anyway
@@ -120,16 +104,11 @@ def thm_main_finite(
 
 
 def thm_main_ramanujan(
-    g: SerreGraph,
-    k: int,
-    *,
-    rho_value: float | None = None,
-    gamma_mean: Fraction | None = None,
+    g: SerreGraph, k: int, rho_value: float, gamma_mean: Fraction
 ) -> BoundReport:
     """For Ramanujan graphs: E gamma_k <= nu_k (1.5 log_d log_d|G| + 6)/log_d|G|."""
     d = require_regular(g)
     _check_dk(d, k)
-    rho_value, gamma_mean = _rho_and_gamma(g, k, rho_value, gamma_mean)
     size_ok = Hypothesis("|G| >= 8d", g.nv >= 8 * d, f"|G|={g.nv}")
     ram_ok = Hypothesis(
         "rho <= rho(T_d)",
@@ -156,14 +135,12 @@ def _closed_walks(g: SerreGraph, o: int, nk: int) -> int:
     return int(inflow[o])
 
 
-def mean_log_return(g: SerreGraph, nk: int, diag_counts=None) -> float:
-    """Average over vertices of log p_nk(o,o) from exact counts: diag_counts,
-    or else diag(A^nk) from diag_power_counts_batch."""
+def mean_log_return(g: SerreGraph, nk: int, diag_counts) -> float:
+    """Average over vertices of log p_nk(o,o) from the exact closed nk-walk
+    counts diag_counts, one per vertex."""
     d = require_regular(g)
     if nk % 2:
         raise ValueError("nk must be even")
-    if diag_counts is None:
-        diag_counts = diag_power_counts_batch(g, (nk // 2,))[nk // 2]
     total = 0.0
     for c in diag_counts:
         c = int(c)
@@ -174,17 +151,13 @@ def mean_log_return(g: SerreGraph, nk: int, diag_counts=None) -> float:
 
 
 def thm_main_returns(
-    g: SerreGraph,
-    n: int,
-    k: int,
-    *,
-    gamma_mean: Fraction | None = None,
-    diag_counts=None,
+    g: SerreGraph, n: int, k: int, gamma_mean: Fraction, diag_counts
 ) -> BoundReport:
     """E log p_nk(o,o) >= nk log rho(T_d) - 1.5 log(nk) - 4 + nk E gamma_k / nu_k.
 
     Requires |G| >= (nk)^2 and n >= 4 (hypothesis-gated); odd nk is a
-    parity error. The left side averages exact return counts over all roots.
+    parity error, raised before any input is read. The left side averages
+    the exact return counts diag_counts over all roots.
     """
     d = require_regular(g)
     _check_dk(d, k)
@@ -193,8 +166,6 @@ def thm_main_returns(
     nk = n * k
     if nk % 2:
         raise ValueError("nk must be even")
-    if gamma_mean is None:
-        gamma_mean = cycle_census(g, k).density
     size_ok = Hypothesis("|G| >= (nk)^2", g.nv >= nk * nk, f"|G|={g.nv}, (nk)^2={nk*nk}")
     n_ok = Hypothesis("n >= 4", n >= 4, f"n={n}")
     lhs = mean_log_return(g, nk, diag_counts)
@@ -285,24 +256,22 @@ def lemma_visits_lower(
     root: int,
     n: int,
     k: int,
+    rho_value: float,
     *,
     samples: int = 20000,
     seed: int = 0,
-    rho_value: float | None = None,
 ) -> BoundReport:
     """Mean of chi_ell(w, 0, k) over uniform nullcycles of length n is at
     least gamma_k(root)/(30 (4d-4)^k), with ell = 6*10^8 (4d-4)^k.
 
-    Hypotheses: rho(G) <= 19/20 and 2k+2 <= n <= sqrt|G|.
-    rho_value can be injected to share one eigensolve across k.
+    Hypotheses: rho(G) <= 19/20 and 2k+2 <= n <= sqrt|G|, with rho(G) = rho_value.
     """
     d = require_regular(g)
     _check_dk(d, k)
     if n % 2 or n <= 0:
         raise ValueError("n must be positive and even")
     lv = ell(d, k)
-    r = markov_spectrum(g).rho if rho_value is None else rho_value
-    rho_ok = Hypothesis("rho <= 19/20", r <= 19 / 20, f"rho={r:.6f}")
+    rho_ok = Hypothesis("rho <= 19/20", rho_value <= 19 / 20, f"rho={rho_value:.6f}")
     n_ok = Hypothesis(
         "2k+2 <= n <= sqrt|G|", 2 * k + 2 <= n <= math.isqrt(g.nv), f"n={n}, |G|={g.nv}"
     )
@@ -363,17 +332,6 @@ class EssGirthBound:
     beta_plus_eps_max: float
     radius: float
     envelope: float
-
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "eps": self.eps,
-            "beta_plus_eps_max": self.beta_plus_eps_max,
-            "radius": self.radius,
-            "envelope": self.envelope,
-        }
 
 
 def ess_girth_bound(size: int, d: int, alpha: float, beta: float, eps: float) -> EssGirthBound:

@@ -99,27 +99,31 @@ def gamma_k(g: SerreGraph, v: int, k: int) -> int:
 def gamma_k_mc(g: SerreGraph, v: int, k: int, samples: int, seed: int = 0) -> float:
     """Monte Carlo estimate of gamma_k for budgets enumeration cannot cover.
 
-    Samples uniform k-step walks from v (d-regular, so d^k walks total) and
-    rescales the hit fraction.
+    Samples k-step walks from v, each step uniform over the current vertex's
+    out-edges, and weights each nontrivial closed walk by the product of the
+    out-degrees along it, its inverse probability (d^k on a d-regular graph).
     """
     from .nullcycles import classify_cycle
     from .core import Walk
 
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    d, dst = g.degree(v), g.dst
+    scale, dst = g.degree(v) ** k, g.dst
     rng = random.Random(seed)
-    hits = 0
+    weight = 0
     for _ in range(samples):
-        u = v
+        u, w = v, 1
         edges = []
         for _ in range(k):
-            e = rng.choice(g.out_edges(u))
+            out = g.out_edges(u)
+            e = rng.choice(out)
+            w *= len(out)
             edges.append(e)
             u = dst[e]
         if u == v and not classify_cycle(g, Walk(v, tuple(edges))).trivial:
-            hits += 1
-    return hits / samples * d ** k
+            weight += w
+    # one rounding, then the rescale: hits / samples * d^k bit for bit when d-regular
+    return weight / (samples * scale) * scale
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,6 @@ class EssentialGirthProfile:
     fractions: tuple[Fraction, ...]
     beta: float | None
     threshold: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "rmax": self.rmax,
-            "fractions": [float(f) for f in self.fractions],
-            "beta": self.beta,
-            "threshold_radius": self.threshold,
-        }
 
 
 def essential_girth_beta(d: int) -> float:

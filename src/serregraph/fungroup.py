@@ -180,8 +180,9 @@ def kappa_estimate(
     method "auto" uses exact tree tables when the reduced walk set is a
     free symmetric letter set (loop bouquets), otherwise an exact rational
     DP over reduced words. State blowup past STATE_BUDGET truncates the
-    sequence at the achieved m rather than erroring. method "mc" runs a
-    seeded sampler instead; its kappa values carry stderr and no exactness.
+    sequence at the achieved m, or raises naming method "mc" if m = 1 does
+    not fit. method "mc" runs a seeded sampler instead; its kappa values
+    carry stderr and no exactness.
     """
     if mmax < 1:
         raise ValueError("mmax must be >= 1")
@@ -279,6 +280,8 @@ def kappa_estimate(
                     if len(w2) > cap:
                         continue
                     new[w2] = new.get(w2, Fraction(0)) + pr * q
+                if len(new) > STATE_BUDGET:
+                    break  # the step is discarded below, so stop building it
         if len(new) > STATE_BUDGET:
             truncated = True
             break
@@ -291,7 +294,8 @@ def kappa_estimate(
         notes=f"truncated at m={len(p_even)} by state budget" if truncated else "",
     )
     if not p_even:
-        raise ValueError("state budget too small for even one pair step")
+        raise ValueError(f"the word DP passed fungroup.STATE_BUDGET = {STATE_BUDGET} reduced "
+                         'words in one pair step; use method="mc" (--method mc) to sample')
     est.check_monotone()
     return est
 

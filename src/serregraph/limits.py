@@ -152,15 +152,6 @@ class EkvivalensRow:
     tv_tree: Fraction
     w1_km: float
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "nv": self.nv,
-            "cycle_densities": [float(x) for x in self.cycle_densities],
-            "tv_tree": float(self.tv_tree),
-            "w1_km": self.w1_km,
-        }
-
 
 def ekvivalens_diagnostic(graphs, r: int, kmax: int, labels=None) -> list[EkvivalensRow]:
     """Per graph: nontrivial-cycle densities for k <= kmax, TV distance of

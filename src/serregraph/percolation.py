@@ -99,10 +99,6 @@ class PercolationWindow:
         return tuple(zip(self.cell_x.tolist(), self.cell_y.tolist()))
 
     @property
-    def origin(self) -> tuple[int, int]:
-        return (self.width // 2, self.height // 2)
-
-    @property
     def cluster_size(self) -> int:
         return len(self.cell_x)
 

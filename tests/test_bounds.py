@@ -6,14 +6,26 @@ from fractions import Fraction
 import pytest
 
 from serregraph import bounds
-from serregraph.census import gamma_k
+from serregraph.census import cycle_census, gamma_k
 from serregraph.core import complete_graph, petersen, prism
 from serregraph.exact import rho_tree
 from serregraph.limits import configuration_model
 from serregraph.report import report
-from serregraph.spectral import markov_spectrum, walk_counts
+from serregraph.spectral import diag_power_counts_batch, markov_spectrum, walk_counts
 
 OK = ("pass", "pass within tolerance")
+
+
+def _rho(g):
+    return markov_spectrum(g).rho
+
+
+def _gamma(g, k):
+    return cycle_census(g, k).density
+
+
+def _diag(g, nk):
+    return diag_power_counts_batch(g, (nk // 2,))[nk // 2]
 
 
 # -- constants ----------------------------------------------------------------
@@ -61,7 +73,7 @@ def test_constants_domain_errors():
 
 def test_main_finite_small_graphs_not_applicable():
     for g in (complete_graph(4), petersen()):
-        rep = bounds.thm_main_finite(g, 1)
+        rep = bounds.thm_main_finite(g, 1, _rho(g), _gamma(g, 1))
         assert rep.verdict == "not applicable"
         assert not rep.applicable
 
@@ -69,9 +81,9 @@ def test_main_finite_small_graphs_not_applicable():
 def test_main_finite_passes_on_random_fleet():
     for seed in range(4):
         g = configuration_model(3, 64, seed=seed)
-        r = markov_spectrum(g).rho
+        r = _rho(g)
         for k in (1, 2, 3):
-            rep = bounds.thm_main_finite(g, k, rho_value=r)
+            rep = bounds.thm_main_finite(g, k, r, _gamma(g, k))
             assert rep.applicable
             assert rep.verdict in OK, (seed, k, rep.to_dict())
 
@@ -80,22 +92,22 @@ def test_main_finite_base_toggle_orders_the_two_forms():
     # the printed form subtracts the larger error term, so its right side
     # sits below the derivation-basis variant; both must pass
     g = configuration_model(3, 64, seed=1)
-    r = markov_spectrum(g).rho
-    rep_d = bounds.thm_main_finite(g, 1, rho_value=r, base="d")
-    rep_dm1 = bounds.thm_main_finite(g, 1, rho_value=r, base="d-1")
+    r, gam = _rho(g), _gamma(g, 1)
+    rep_d = bounds.thm_main_finite(g, 1, r, gam, base="d")
+    rep_dm1 = bounds.thm_main_finite(g, 1, r, gam, base="d-1")
     assert rep_d.rhs < rep_dm1.rhs
     assert rep_d.verdict in OK and rep_dm1.verdict in OK
     with pytest.raises(ValueError):
-        bounds.thm_main_finite(g, 1, base="e")
+        bounds.thm_main_finite(g, 1, r, gam, base="e")
 
 
 def test_main_ramanujan_gate_and_pass():
     g0 = configuration_model(3, 64, seed=0)  # rho ~ 0.9227 < rho(T_3)
-    rep = bounds.thm_main_ramanujan(g0, 1)
+    rep = bounds.thm_main_ramanujan(g0, 1, _rho(g0), _gamma(g0, 1))
     assert rep.applicable
     assert rep.verdict in OK
     g1 = configuration_model(3, 64, seed=1)  # rho ~ 0.9492 > rho(T_3)
-    rep1 = bounds.thm_main_ramanujan(g1, 1)
+    rep1 = bounds.thm_main_ramanujan(g1, 1, _rho(g1), _gamma(g1, 1))
     assert rep1.verdict == "not applicable"
 
 
@@ -105,16 +117,17 @@ def test_main_ramanujan_gate_and_pass():
 def test_returns_parity_error():
     g = configuration_model(3, 64, seed=0)
     with pytest.raises(ValueError):
-        bounds.thm_main_returns(g, 5, 1)
+        bounds.thm_main_returns(g, 5, 1, None, None)
     with pytest.raises(ValueError):
-        bounds.thm_main_returns(g, 3, 3)
+        bounds.thm_main_returns(g, 3, 3, None, None)
 
 
 def test_returns_hypothesis_gating():
     g = configuration_model(3, 36, seed=0)
-    rep = bounds.thm_main_returns(g, 4, 3)  # (nk)^2 = 144 > 36
+    rep = bounds.thm_main_returns(g, 4, 3, _gamma(g, 3), _diag(g, 12))  # (nk)^2 = 144 > 36
     assert rep.verdict == "not applicable"
-    rep2 = bounds.thm_main_returns(configuration_model(3, 64, seed=0), 2, 2)  # n < 4
+    g64 = configuration_model(3, 64, seed=0)
+    rep2 = bounds.thm_main_returns(g64, 2, 2, _gamma(g64, 2), _diag(g64, 4))  # n < 4
     assert rep2.verdict == "not applicable"
 
 
@@ -122,7 +135,7 @@ def test_returns_passes_on_random_fleet():
     for d in (3, 4):
         g = configuration_model(d, 256, seed=0)
         for k in (1, 2, 3):
-            rep = bounds.thm_main_returns(g, 4, k)
+            rep = bounds.thm_main_returns(g, 4, k, _gamma(g, k), _diag(g, 4 * k))
             assert rep.applicable
             assert rep.verdict in OK, (d, k, rep.to_dict())
 
@@ -130,8 +143,10 @@ def test_returns_passes_on_random_fleet():
 def test_mean_log_return_routes_agree():
     g = petersen()
     nk = 8
-    via_batch = bounds.mean_log_return(g, nk)
+    batch = _diag(g, nk)
     diag = [walk_counts(g, o, nk)[nk][o] for o in range(g.nv)]
+    assert [int(c) for c in batch] == diag
+    via_batch = bounds.mean_log_return(g, nk, batch)
     via_bigint = bounds.mean_log_return(g, nk, diag_counts=diag)
     assert math.isclose(via_batch, via_bigint, rel_tol=0, abs_tol=1e-12)
 
@@ -149,7 +164,7 @@ def test_mean_log_return_past_float64_and_chi_lower_use_exact_counts():
     g = configuration_model(3, 64, seed=0)
     nk = 40  # 3^40 >= 2^63: the diagonal route sums its squares in Python ints
     diag = [walk_counts(g, o, nk)[nk][o] for o in range(g.nv)]
-    assert bounds.mean_log_return(g, nk) == bounds.mean_log_return(g, nk, diag_counts=diag)
+    assert bounds.mean_log_return(g, nk, _diag(g, nk)) == bounds.mean_log_return(g, nk, diag)
     rep = bounds.thm_43_lower(g, 5, 3, 2, samples=200, seed=1)
     assert rep.lhs == float(walk_counts(g, 5, 6)[6][5])
 
@@ -158,7 +173,7 @@ def test_returns_rejects_n_below_one():
     g = configuration_model(3, 64, seed=0)
     for n in (0, -2):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            bounds.thm_main_returns(g, n, 2, gamma_mean=Fraction(0))
+            bounds.thm_main_returns(g, n, 2, Fraction(0), None)
 
 
 def test_monte_carlo_checks_reject_too_few_samples():
@@ -171,7 +186,7 @@ def test_monte_carlo_checks_reject_too_few_samples():
 
 def test_mean_log_return_rejects_odd():
     with pytest.raises(ValueError):
-        bounds.mean_log_return(petersen(), 7)
+        bounds.mean_log_return(petersen(), 7, None)
 
 
 # -- the exponential chi display -------------------------------------------------
@@ -210,7 +225,7 @@ def test_chi_exp_lower_parity_error():
 
 def test_visits_lower_at_loop_vertex():
     g = configuration_model(3, 64, seed=3)  # full loop at vertex 22, rho ~ 0.939
-    rep = bounds.lemma_visits_lower(g, 22, 6, 1)
+    rep = bounds.lemma_visits_lower(g, 22, 6, 1, _rho(g))
     assert rep.applicable
     assert rep.verdict == "pass"
     assert rep.lhs > float(rep.rhs) > 0
@@ -218,7 +233,7 @@ def test_visits_lower_at_loop_vertex():
 
 def test_visits_lower_zero_density_root():
     g = configuration_model(3, 64, seed=3)
-    rep = bounds.lemma_visits_lower(g, 0, 6, 1)
+    rep = bounds.lemma_visits_lower(g, 0, 6, 1, _rho(g))
     assert rep.applicable
     assert rep.rhs == 0.0
     assert rep.verdict in OK
@@ -226,9 +241,9 @@ def test_visits_lower_zero_density_root():
 
 def test_visits_lower_window_gating():
     g = configuration_model(3, 64, seed=3)
-    rep = bounds.lemma_visits_lower(g, 0, 10, 1)  # n > sqrt(64)
+    rep = bounds.lemma_visits_lower(g, 0, 10, 1, _rho(g))  # n > sqrt(64)
     assert rep.verdict == "not applicable"
-    rep2 = bounds.lemma_visits_lower(petersen(), 0, 4, 1)  # sqrt(10) < 2k+2
+    rep2 = bounds.lemma_visits_lower(petersen(), 0, 4, 1, _rho(petersen()))  # sqrt(10) < 2k+2
     assert rep2.verdict == "not applicable"
 
 
@@ -236,14 +251,14 @@ def test_visits_lower_k2_case():
     g = configuration_model(3, 64, seed=0)
     roots = [v for v in range(g.nv) if gamma_k(g, v, 2) > 0]
     assert roots
-    rep = bounds.lemma_visits_lower(g, roots[0], 6, 2)
+    rep = bounds.lemma_visits_lower(g, roots[0], 6, 2, _rho(g))
     assert rep.applicable
     assert rep.verdict in OK, rep.to_dict()
 
 
 def test_visits_lower_parity_error():
     with pytest.raises(ValueError):
-        bounds.lemma_visits_lower(configuration_model(3, 64, seed=0), 0, 5, 1)
+        bounds.lemma_visits_lower(configuration_model(3, 64, seed=0), 0, 5, 1, 0.5)
 
 
 # -- distance to short cycles ------------------------------------------------------
@@ -311,12 +326,13 @@ def test_every_applicable_report_passes_on_desk_fleet():
     ]
     failures = []
     for g in fleet:
-        r = markov_spectrum(g).rho
+        r = _rho(g)
         for k in (1, 2):
+            gam = _gamma(g, k)
             for rep in (
-                bounds.thm_main_finite(g, k, rho_value=r),
-                bounds.thm_main_ramanujan(g, k, rho_value=r),
-                bounds.thm_main_returns(g, 4, k),
+                bounds.thm_main_finite(g, k, r, gam),
+                bounds.thm_main_ramanujan(g, k, r, gam),
+                bounds.thm_main_returns(g, 4, k, gam, _diag(g, 4 * k)),
             ):
                 if rep.applicable and rep.verdict not in OK:
                     failures.append((g.name, rep.to_dict()))

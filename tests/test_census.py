@@ -8,6 +8,7 @@ from serregraph.core import (
     Walk,
     complete_graph,
     cycle_graph,
+    from_edges,
     half_loop_rose,
     petersen,
     prism,
@@ -143,6 +144,17 @@ def test_budget_error_mentions_mc(monkeypatch):
 def test_gamma_mc_estimates_k4():
     est = census.gamma_k_mc(complete_graph(4), 0, 3, samples=20000, seed=1)
     assert abs(est - 6.0) < 0.5
+
+
+def test_gamma_mc_is_unbiased_on_irregular_graphs():
+    # degrees 2, 3, 4: a uniform step is not uniform over k-walks, so each
+    # counted walk is weighted by its inverse probability, not by deg(v)^k
+    g = from_edges(3, [(0, 1), (0, 1), (1, 2)], half_loops=[2, 2, 2])
+    assert g.degrees == (2, 3, 4)
+    exact = census.gamma_k(g, 0, 4)
+    assert exact == brute_gamma(g, 0, 4) == 12
+    est = census.gamma_k_mc(g, 0, 4, samples=20000, seed=1)
+    assert abs(est - exact) < 1.0
 
 
 def test_gamma_mc_rejects_zero_samples():

@@ -340,9 +340,7 @@ def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatc
 
         return wrapper
 
-    # the CLI reads both at call time from their modules; executing bounds
-    # first keeps it from binding a wrapper that the undo would leave behind
-    bounds.thm_main_finite  # noqa: B018
+    # the CLI reads both from their modules when the command runs
     for name, owner in owners.items():
         monkeypatch.setattr(owner, name, counted(name))
     suites = "main,ramanujan,returns"
@@ -351,10 +349,13 @@ def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatc
     assert calls == {"markov_spectrum": 1, "cycle_census": 3}
 
     g = load_path(str(p))
+    rho = spectral.markov_spectrum(g).rho
+    gamma = {k: census.cycle_census(g, k).density for k in (1, 2, 3)}
+    diag = spectral.diag_power_counts_batch(g, (2, 4, 6))
     direct = {
-        "main": lambda k: bounds.thm_main_finite(g, k),
-        "ramanujan": lambda k: bounds.thm_main_ramanujan(g, k),
-        "returns": lambda k: bounds.thm_main_returns(g, 4, k),
+        "main": lambda k: bounds.thm_main_finite(g, k, rho, gamma[k]),
+        "ramanujan": lambda k: bounds.thm_main_ramanujan(g, k, rho, gamma[k]),
+        "returns": lambda k: bounds.thm_main_returns(g, 4, k, gamma[k], diag[2 * k]),
     }
     assert [(r["suite"], r["k"]) for r in rows] == [
         (s, str(k)) for s in direct for k in (1, 2, 3)
@@ -387,20 +388,18 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
         calls += 1
         return solve(*args, **kwargs)
 
-    # count eigensolves made by the CLI and inside the verdict functions;
-    # executing bounds first keeps it from binding `counted` as its original
-    bounds.thm_43_lower  # noqa: B018
+    # the verdict functions take rho from the CLI, which solves once per job
     monkeypatch.setattr(spectral, "markov_spectrum", counted)
-    monkeypatch.setattr(bounds, "markov_spectrum", counted)
     argv = ["bounds", "verify", "--in", str(p), "--suite", "chi,visits", "--k", "2,3"]
     main(argv + ["--samples", "200"])
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert calls == 1
 
     g = load_path(str(p))
+    rho = solve(g).rho
     direct = {
         "chi": lambda k: bounds.thm_43_lower(g, 0, 4, k, samples=200, seed=0),
-        "visits": lambda k: bounds.lemma_visits_lower(g, 0, 2 * k + 2, k, samples=200, seed=0),
+        "visits": lambda k: bounds.lemma_visits_lower(g, 0, 2 * k + 2, k, rho, samples=200, seed=0),
     }
     assert [(r["suite"], r["k"]) for r in rows] == [(s, str(k)) for s in direct for k in (2, 3)]
     for r in rows:
@@ -781,6 +780,29 @@ def _run_python(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def test_bounds_import_leaves_spectral_unloaded():
+    # the verdicts compare the rho, gamma_k and return diagonals they are
+    # given; only the CLI computes them, so bounds never loads the eigensolver
+    code = "import sys, serregraph.bounds; print('serregraph.spectral' in sys.modules)"
+    assert _run_python(code) == "False"
+
+
+def test_defaulted_parameter_count_stays_within_budget():
+    # the ROADMAP tracks this AST count; a new knob must be declared by
+    # raising the budget here
+    import ast
+
+    import serregraph
+
+    count = 0
+    for path in sorted(Path(serregraph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    assert count <= 47, count
 
 
 def test_cli_import_registers_every_traced_layer_and_runs_without_openssl(tmp_path):

@@ -267,6 +267,15 @@ def test_state_budget_truncates_or_raises(monkeypatch):
         kappa_estimate(g, 0, 0, 3, 3)
 
 
+def test_state_budget_error_names_the_budget_and_the_sampler(monkeypatch):
+    monkeypatch.setattr(fungroup, "STATE_BUDGET", 400)
+    with pytest.raises(ValueError) as err:
+        kappa_estimate(complete_graph(4), 0, 0, 3, 3)
+    msg = str(err.value)
+    assert "STATE_BUDGET = 400" in msg
+    assert 'method="mc"' in msg and "--method mc" in msg
+
+
 def test_no_walks_between_adjacent_petersen_vertices():
     # girth 5: adjacent vertices share no 2-walk
     with pytest.raises(ValueError):
