@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import gamma_k
-from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, require_regular
+from .core import SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows, require_regular
 from .exact import rho_tree
-from .nullcycles import NullcycleSampler, _unbalanced_edge, chi_statistic, enumerate_nullcycles
+from .nullcycles import NullcycleSampler, chi_statistic, enumerate_nullcycles
 from .report import BoundReport, Hypothesis, report, upper
 from .treewalk import nullcycle_count
 
@@ -30,6 +29,7 @@ __all__ = [
     "lemma_visits_lower",
     "distance_gap",
     "distance_bound",
+    "essential_girth_beta",
     "EssGirthBound",
     "ess_girth_bound",
 ]
@@ -257,14 +257,15 @@ def lemma_visits_lower(
     n: int,
     k: int,
     rho_value: float,
+    gamma_root: int,
     *,
     samples: int = 20000,
     seed: int = 0,
 ) -> BoundReport:
-    """Mean of chi_ell(w, 0, k) over uniform nullcycles of length n is at
-    least gamma_k(root)/(30 (4d-4)^k), with ell = 6*10^8 (4d-4)^k.
+    """Mean of chi_ell(w, 0, k) over uniform nullcycles of length n is at least
+    gamma_root/(30 (4d-4)^k), gamma_root = gamma_k(root), ell = 6*10^8 (4d-4)^k.
 
-    Hypotheses: rho(G) <= 19/20 and 2k+2 <= n <= sqrt|G|, with rho(G) = rho_value.
+    Hypotheses: rho_value = rho(G) <= 19/20 and 2k+2 <= n <= sqrt|G|.
     """
     d = require_regular(g)
     _check_dk(d, k)
@@ -275,8 +276,7 @@ def lemma_visits_lower(
     n_ok = Hypothesis(
         "2k+2 <= n <= sqrt|G|", 2 * k + 2 <= n <= math.isqrt(g.nv), f"n={n}, |G|={g.nv}"
     )
-    gam = gamma_k(g, root, k)
-    rhs = gam / (30.0 * (4 * d - 4) ** k)
+    rhs = gamma_root / (30.0 * (4 * d - 4) ** k)
     notes = ""
     if d ** n <= EXACT_BUDGET:
         hits = 0
@@ -299,7 +299,7 @@ def lemma_visits_lower(
         lhs=lhs,
         rhs=rhs,
         hypotheses=(rho_ok, n_ok),
-        constants={"gamma_k(root)": gam, "ell": lv},
+        constants={"gamma_k(root)": gamma_root, "ell": lv},
         tolerance=tol,
         notes=notes,
     )
@@ -320,6 +320,13 @@ def distance_gap(d: int, R: int, k: int) -> Fraction:
 def distance_bound(d: int, R: int, k: int) -> float:
     """Spectral radius forced by having every vertex within R of a k-cycle."""
     return rho_tree(d) + float(distance_gap(d, R, k))
+
+
+def essential_girth_beta(d: int) -> float:
+    """1/(30 log(d-1)): tree balls are expected up to radius beta log log|G|."""
+    if d < 3:
+        raise ValueError("d must be >= 3")
+    return 1.0 / (30.0 * math.log(d - 1))
 
 
 @dataclass(frozen=True)

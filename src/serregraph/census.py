@@ -19,12 +19,11 @@ essential-girth profile is the histogram of t: its count at r is #{v : t(v) >= r
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, distances_from, tree_radius, validate
+from .core import SerreGraph, _unbalanced_edge, distances_from, tree_radius
 from .exact import frac_str
 
 ENUM_BUDGET = 10 ** 8
@@ -102,12 +101,12 @@ def gamma_k_mc(g: SerreGraph, v: int, k: int, samples: int, seed: int = 0) -> fl
     Samples k-step walks from v, each step uniform over the current vertex's
     out-edges, and weights each nontrivial closed walk by the product of the
     out-degrees along it, its inverse probability (d^k on a d-regular graph).
+    A root with no edges has no nontrivial closed walk and reads 0.0.
     """
-    from .nullcycles import classify_cycle
-    from .core import Walk
-
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not g.degree(v):
+        return 0.0
     scale, dst = g.degree(v) ** k, g.dst
     rng = random.Random(seed)
     weight = 0
@@ -120,7 +119,7 @@ def gamma_k_mc(g: SerreGraph, v: int, k: int, samples: int, seed: int = 0) -> fl
             w *= len(out)
             edges.append(e)
             u = dst[e]
-        if u == v and not classify_cycle(g, Walk(v, tuple(edges))).trivial:
+        if u == v and _unbalanced_edge(g, edges) is not None:
             weight += w
     # one rounding, then the rescale: hits / samples * d^k bit for bit when d-regular
     return weight / (samples * scale) * scale
@@ -159,23 +158,13 @@ def cycle_census(g: SerreGraph, k: int) -> CycleCensus:
 class EssentialGirthProfile:
     """Fraction of vertices whose radius-r ball is a loop-free tree, r=1..rmax.
 
-    beta and threshold describe the regime where the profile is expected to
-    stay near 1: radius up to beta*log(log|G|) with beta = 1/(30 log(d-1)).
-    Both are None when the graph is not regular of degree >= 3 or is too
-    small for the iterated log.
+    The profile is expected to stay near 1 up to radius
+    bounds.essential_girth_beta(d) * log(log|G|).
     """
 
     rmax: int
     tree_counts: tuple[int, ...]
     fractions: tuple[Fraction, ...]
-    beta: float | None
-    threshold: float | None
-
-
-def essential_girth_beta(d: int) -> float:
-    if d < 3:
-        raise ValueError("d must be >= 3")
-    return 1.0 / (30.0 * math.log(d - 1))
 
 
 def essential_girth_profile(g: SerreGraph, rmax: int) -> EssentialGirthProfile:
@@ -184,16 +173,4 @@ def essential_girth_profile(g: SerreGraph, rmax: int) -> EssentialGirthProfile:
     t = [tree_radius(g, v, rmax) for v in range(g.nv)]
     counts = [sum(x >= r for x in t) for r in range(1, rmax + 1)]
     fracs = tuple(Fraction(c, g.nv) for c in counts)
-    d = validate(g).regular_degree
-    beta = threshold = None
-    if d is not None and d >= 3:
-        beta = essential_girth_beta(d)
-        if g.nv >= 2 and math.log(g.nv) > 1.0:
-            threshold = beta * math.log(math.log(g.nv))
-    return EssentialGirthProfile(
-        rmax=rmax,
-        tree_counts=tuple(counts),
-        fractions=fracs,
-        beta=beta,
-        threshold=threshold,
-    )
+    return EssentialGirthProfile(rmax=rmax, tree_counts=tuple(counts), fractions=fracs)

@@ -282,7 +282,7 @@ def _cmd_census(args, emitter: _Emitter) -> int:
 
 def _girth_report(g: SerreGraph) -> BoundReport:
     d = require_regular(g)
-    beta = census.essential_girth_beta(d)
+    beta = bounds.essential_girth_beta(d)
     eps = beta
     # ln ln |G| is undefined below three vertices: no radius is promised there
     if g.nv >= 3:
@@ -314,7 +314,7 @@ def _girth_report(g: SerreGraph) -> BoundReport:
     )
 
 
-def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
+def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma, gamma_root):
     if suite == "main":
         return [(k, bounds.thm_main_finite(g, k, rho(), gamma(k))) for k in ks]
     if suite == "ramanujan":
@@ -336,12 +336,11 @@ def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma):
             for k in ks
         ]
     if suite == "visits":
-        out = []
-        for k in ks:
-            nn = n if n is not None else 2 * k + 2
-            rep = bounds.lemma_visits_lower(g, 0, nn, k, rho(), samples=samples, seed=seed)
-            out.append((k, rep))
-        return out
+        return [
+            (k, bounds.lemma_visits_lower(g, 0, 2 * k + 2 if n is None else n, k, rho(),
+                                          gamma_root(k), samples=samples, seed=seed))
+            for k in ks
+        ]
     return [(0, _girth_report(g))]
 
 
@@ -353,17 +352,20 @@ def _cmd_bounds(args, emitter: _Emitter) -> int:
             raise ValueError(f"unknown suite {s!r}: choose from {', '.join(SUITES)}")
     ks = _parse_krange(args.k)
     # the main, ramanujan, returns and visits suites share one eigensolve,
-    # and the first three one census per k, each computed on first use. Reading
-    # the solver here executes spectral before any suite runs: executed after the
-    # chi suite's tree tables, it moved the walks job's peak RSS by ~0.7 MB.
-    solve = spectral.markov_spectrum
+    # the first three one census per k, and visits one root count per k, each
+    # computed on first use. Reading the solver and the root count here
+    # executes spectral, then census, before any suite runs: executed after
+    # the chi suite's tree tables, spectral moved the walks job's peak RSS by
+    # ~0.7 MB, and census keeps the place it had as an import of bounds.
+    solve, gamma_at = spectral.markov_spectrum, census.gamma_k
     rho = functools.cache(lambda: solve(g).rho)
     gamma = functools.cache(lambda k: census.cycle_census(g, k).density)
+    gamma_root = functools.cache(lambda k: gamma_at(g, 0, k))
     rows = []
     verdicts = []
     for suite in suites:
         for k, rep in _suite_reports(
-            g, suite, ks, args.n, args.samples, args.seed, rho, gamma
+            g, suite, ks, args.n, args.samples, args.seed, rho, gamma, gamma_root
         ):
             verdicts.append(rep.verdict)
             failed = ";".join(h.name for h in rep.hypotheses if not h.ok)

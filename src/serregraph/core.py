@@ -165,20 +165,6 @@ class Walk:
         return vs[0] == vs[-1]
 
 
-def reduce_word(g: SerreGraph, edges) -> tuple[int, ...]:
-    """The edge word with adjacent inverse pairs erased until none is left
-    (a half-loop is its own inverse, so a repeated one cancels too).
-    Reduction is confluent, so one left-to-right stack pass suffices."""
-    inv = g.inv
-    out = []
-    for e in edges:
-        if out and out[-1] == inv[e]:
-            out.pop()
-        else:
-            out.append(e)
-    return tuple(out)
-
-
 @dataclass
 class ValidationReport:
     ok: bool
@@ -736,3 +722,31 @@ def schreier_quotient(gens, s_index: int) -> SchreierResult:
     return SchreierResult(graph=quotient, cayley=cay, coset_of=tuple(coset_of),
                           subgroup_order=len(H), cover_verified=ok,
                           trivial_coset_loops=loops0)
+
+
+def reduce_word(g: SerreGraph, edges) -> tuple[int, ...]:
+    """The edge word with adjacent inverse pairs erased until none is left
+    (a half-loop is its own inverse, so a repeated one cancels too).
+    Reduction is confluent, so one left-to-right stack pass suffices."""
+    inv = g.inv
+    out = []
+    for e in edges:
+        if out and out[-1] == inv[e]:
+            out.pop()
+        else:
+            out.append(e)
+    return tuple(out)
+
+
+def _unbalanced_edge(g: SerreGraph, edges) -> int | None:
+    """nullcycles.classify_cycle's witness for a word known to be closed; None if trivial."""
+    inv = g.inv
+    counts: dict[int, int] = {}
+    for e in edges:
+        if inv[e] == e:
+            return e
+        counts[e] = counts.get(e, 0) + 1
+    for e, c in counts.items():
+        if counts.get(inv[e], 0) != c:
+            return e
+    return None

@@ -20,7 +20,6 @@ from .core import (SerreGraph, Walk, _edge_arrays, _walk_inflows, distances_from
                    require_regular)
 from .exact import rho_tree
 from .report import BoundReport, BoundViolation, Hypothesis, report
-from .spectral import markov_spectrum
 from .treewalk import return_probability, tables_for
 
 __all__ = [
@@ -408,15 +407,15 @@ class KappaStar:
         return self.value_sequence[-1]
 
 
-def kappa_star(g: SerreGraph, o: int, k: int, mmax: int = 4) -> KappaStar:
+def kappa_star(g: SerreGraph, o: int, k: int, rho_value: float, mmax: int = 4) -> KappaStar:
     """Geometric mean of the endpoint norms weighted by the stabilized
     time-k nullcycle marginal, with the spectral-radius display.
 
-    The display compares log rho(G) against log rho(T_d) - (1/k) log of the
-    estimate. Finite graphs sit outside the statement's hypotheses and the
-    right side over-estimates (the norms are approached from below), so the
-    report is informational: a nonnegative margin would be evidence
-    stronger than the statement, a negative one contradicts nothing.
+    The display compares log rho(G) = log rho_value against log rho(T_d) -
+    (1/k) log of the estimate. Finite graphs sit outside the statement's
+    hypotheses and the right side over-estimates (the norms are approached
+    from below), so the report is informational: a nonnegative margin would
+    be evidence stronger than the statement, a negative one contradicts nothing.
     """
     d = require_regular(g)
     pk = p_k_distribution(g, o, k)
@@ -431,7 +430,6 @@ def kappa_star(g: SerreGraph, o: int, k: int, mmax: int = 4) -> KappaStar:
     for a, b in zip(seq, seq[1:]):
         if a > b + 1e-12:
             raise BoundViolation("kappa-star sequence decreased")
-    rho_value = markov_spectrum(g).rho
     diag = report(
         f"kappa-star-display k={k}",
         lhs=math.log(rho_value),

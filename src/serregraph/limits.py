@@ -21,7 +21,7 @@ from .census import cycle_census
 from .core import SerreGraph, from_edges, require_regular, tree_radius
 from .exact import rho_tree
 from .patterns import Pattern, pattern, tree_pattern
-from .spectral import markov_spectrum, weakly_ramanujan_mass
+from .spectral import markov_spectrum
 
 __all__ = [
     "PatternHistogram",
@@ -33,7 +33,6 @@ __all__ = [
     "km_w1",
     "EkvivalensRow",
     "ekvivalens_diagnostic",
-    "weakly_ramanujan_mass",
 ]
 
 KM_GRID = 4001  # points of the [-1, 1] grid km_w1 integrates the CDF gap on

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, reduce_word, require_regular
+from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows, reduce_word,
+                   require_regular)
 from .report import BoundReport, BoundViolation, Hypothesis, upper
 from .treewalk import bridge_distance_distribution, tables_for
 
@@ -41,20 +42,6 @@ def classify_cycle(g: SerreGraph, walk: Walk) -> CycleClassification:
         raise ValueError("classification is defined for closed walks only")
     witness = _unbalanced_edge(g, walk.edges)
     return CycleClassification(trivial=witness is None, witness=witness)
-
-
-def _unbalanced_edge(g: SerreGraph, edges) -> int | None:
-    """classify_cycle's witness for a word known to be closed; None if trivial."""
-    inv = g.inv
-    counts: dict[int, int] = {}
-    for e in edges:
-        if inv[e] == e:
-            return e
-        counts[e] = counts.get(e, 0) + 1
-    for e, c in counts.items():
-        if counts.get(inv[e], 0) != c:
-            return e
-    return None
 
 
 def is_nullcycle(g: SerreGraph, walk: Walk) -> bool:
@@ -249,22 +236,19 @@ def nonbacktracking_hit_fractions(g: SerreGraph, root: int, targets, nmax: int) 
 @dataclass
 class ExpectedVisits:
     value: Fraction
-    rho: float
     reports: tuple[BoundReport, ...]
 
 
-def expected_visits(g: SerreGraph, root: int, targets, n: int) -> ExpectedVisits:
+def expected_visits(g: SerreGraph, root: int, targets, n: int, rho_value: float) -> ExpectedVisits:
     """Exact expected number of times j in 0..n at which the uniform length-n
     nullcycle sits in the target set.
 
     Decomposition: condition on the lift's distance k at time j (bridge
     marginal), then the position in the graph is the endpoint of a uniform
     non-backtracking k-path from the root. Two crude upper bounds are
-    evaluated when their hypotheses hold; a hypothesis failure downgrades the
-    report to not-applicable instead of raising.
+    evaluated when their hypotheses hold, rho(G) = rho_value; a failed
+    hypothesis downgrades the report to not-applicable instead of raising.
     """
-    from .spectral import rho as rho_of  # local import to keep modules independent
-
     d = require_regular(g)
     if n % 2:
         raise ValueError("n must be even")
@@ -274,11 +258,10 @@ def expected_visits(g: SerreGraph, root: int, targets, n: int) -> ExpectedVisits
     for j in range(n + 1):
         marg = bridge_distance_distribution(d, j, n)
         total += sum((p * q[k] for k, p in enumerate(marg) if p), Fraction(0))
-    r = rho_of(g)
     size_ok = Hypothesis("n^2 <= |G|", n * n <= g.nv, f"n^2={n*n}, |G|={g.nv}")
-    rho_ok = Hypothesis("rho <= 19/20", r <= 19 / 20, f"rho={r:.6f}")
-    if r < 1.0:
-        general = 4e4 * len(tset) * (1.0 / (1.0 - r) ** 2 + 72.0 * n * n / g.nv)
+    rho_ok = Hypothesis("rho <= 19/20", rho_value <= 19 / 20, f"rho={rho_value:.6f}")
+    if rho_value < 1.0:
+        general = 4e4 * len(tset) * (1.0 / (1.0 - rho_value) ** 2 + 72.0 * n * n / g.nv)
     else:
         general = math.inf
     rep1 = upper(
@@ -286,7 +269,7 @@ def expected_visits(g: SerreGraph, root: int, targets, n: int) -> ExpectedVisits
         value=float(total),
         bound=general,
         hypotheses=(size_ok,),
-        constants={"|A|": len(tset), "rho": r},
+        constants={"|A|": len(tset), "rho": rho_value},
     )
     rep2 = upper(
         "visit-bound small-rho",
@@ -295,7 +278,7 @@ def expected_visits(g: SerreGraph, root: int, targets, n: int) -> ExpectedVisits
         hypotheses=(size_ok, rho_ok),
         constants={"|A|": len(tset)},
     )
-    return ExpectedVisits(value=total, rho=r, reports=(rep1, rep2))
+    return ExpectedVisits(value=total, reports=(rep1, rep2))
 
 
 # -- parity lemma ---------------------------------------------------------------

@@ -31,8 +31,8 @@ from .core import (
     _step,
     _walk_inflows,
     adjacency,
-    connected_components,
     distances_from,
+    is_connected,
     require_regular,
 )
 from .exact import rho_tree
@@ -101,17 +101,10 @@ class SpectralSummary:
     n_components: int
 
 
-def weakly_ramanujan_mass(g: SerreGraph) -> Fraction:
-    """Fraction of eigenvalues with |lambda| strictly inside the tree window.
-
-    Strict means |lambda| < 2 sqrt(d-1)/d minus a 1e-9 guard, so eigenvalues
-    that are exactly on the edge, like the bipartite pair at d = 2, are
-    never counted in by rounding.
-    """
-    return markov_spectrum(g).weakly_ramanujan_mass
-
-
 def markov_spectrum(g: SerreGraph, residual_check: bool = False) -> SpectralSummary:
+    """weakly_ramanujan_mass is the fraction of eigenvalues strictly inside the
+    tree window, |lambda| < 2 sqrt(d-1)/d minus a 1e-9 guard: eigenvalues exactly
+    on its edge, like the bipartite pair at d = 2, never count in by rounding."""
     d = require_regular(g)
     M = markov_matrix(g)
     if residual_check:
@@ -222,32 +215,31 @@ def hitting_probabilities(g: SerreGraph, o: int, targets, nmax: int) -> list[Fra
     ]
 
 
-def hitting_bound_check(g: SerreGraph, o: int, targets, nmax: int) -> BoundReport:
+def hitting_bound_check(g: SerreGraph, o: int, targets, nmax: int, rho_value: float) -> BoundReport:
     """p_n(o, A) <= sqrt(|A|) rho(G)^n + 2|A|/|G| for every n <= nmax.
 
-    The walk side is exact; the margin reported is the worst over n.
+    The walk side is exact, rho(G) = rho_value; the margin reported is the worst over n.
     """
     d = require_regular(g)
     tset = set(targets)
-    r = rho(g)
     probs = hitting_probabilities(g, o, tset, nmax)
     worst = math.inf
     worst_n = 0
     for n in range(nmax + 1):
-        rhs = math.sqrt(len(tset)) * r ** n + 2 * len(tset) / g.nv
+        rhs = math.sqrt(len(tset)) * rho_value ** n + 2 * len(tset) / g.nv
         m = rhs - float(probs[n])
         if m < worst:
             worst, worst_n = m, n
     hyps = (
-        Hypothesis("connected", len(connected_components(g)) == 1, f"|G|={g.nv}"),
+        Hypothesis("connected", is_connected(g), f"|G|={g.nv}"),
         Hypothesis("regular", True, f"d={d}"),
     )
     rep = report(
         f"hitting-bound o={o} |A|={len(tset)} nmax={nmax}",
         lhs=float(probs[worst_n]),
-        rhs=math.sqrt(len(tset)) * r ** worst_n + 2 * len(tset) / g.nv,
+        rhs=math.sqrt(len(tset)) * rho_value ** worst_n + 2 * len(tset) / g.nv,
         hypotheses=hyps,
-        constants={"rho": r, "worst_n": worst_n},
+        constants={"rho": rho_value, "worst_n": worst_n},
         notes="lhs/rhs shown at the worst n; all n were checked",
     )
     rep.margin = worst

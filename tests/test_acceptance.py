@@ -241,7 +241,7 @@ def test_expected_visit_bounds_hold_or_gate_across_fleet():
         n = 2
         while (n + 2) * (n + 2) <= g.nv:
             n += 2
-        ev = expected_visits(g, 0, {0}, n)
+        ev = expected_visits(g, 0, {0}, n, rho(g))
         for rep in ev.reports:
             assert rep.verdict != "fail", f"{label} n={n}: {rep.name} failed"
             if rep.verdict == "not applicable":
@@ -250,7 +250,7 @@ def test_expected_visit_bounds_hold_or_gate_across_fleet():
                 general_pass += 1
             else:
                 small_pass += 1
-    ev = expected_visits(petersen(), 0, {0, 1}, 2)
+    ev = expected_visits(petersen(), 0, {0, 1}, 2, rho(petersen()))
     assert all(r.verdict != "fail" for r in ev.reports)
     assert general_pass >= 6 and small_pass >= 5
     print(

@@ -181,7 +181,7 @@ def test_monte_carlo_checks_reject_too_few_samples():
     with pytest.raises(ValueError, match="samples must be >= 2"):
         bounds.thm_43_lower(g, 0, 30, 1, samples=1)
     with pytest.raises(ValueError, match="samples must be >= 1"):
-        bounds.lemma_visits_lower(g, 0, 20, 2, samples=0, rho_value=0.5)
+        bounds.lemma_visits_lower(g, 0, 20, 2, 0.5, gamma_k(g, 0, 2), samples=0)
 
 
 def test_mean_log_return_rejects_odd():
@@ -225,7 +225,7 @@ def test_chi_exp_lower_parity_error():
 
 def test_visits_lower_at_loop_vertex():
     g = configuration_model(3, 64, seed=3)  # full loop at vertex 22, rho ~ 0.939
-    rep = bounds.lemma_visits_lower(g, 22, 6, 1, _rho(g))
+    rep = bounds.lemma_visits_lower(g, 22, 6, 1, _rho(g), gamma_k(g, 22, 1))
     assert rep.applicable
     assert rep.verdict == "pass"
     assert rep.lhs > float(rep.rhs) > 0
@@ -233,7 +233,7 @@ def test_visits_lower_at_loop_vertex():
 
 def test_visits_lower_zero_density_root():
     g = configuration_model(3, 64, seed=3)
-    rep = bounds.lemma_visits_lower(g, 0, 6, 1, _rho(g))
+    rep = bounds.lemma_visits_lower(g, 0, 6, 1, _rho(g), gamma_k(g, 0, 1))
     assert rep.applicable
     assert rep.rhs == 0.0
     assert rep.verdict in OK
@@ -241,9 +241,10 @@ def test_visits_lower_zero_density_root():
 
 def test_visits_lower_window_gating():
     g = configuration_model(3, 64, seed=3)
-    rep = bounds.lemma_visits_lower(g, 0, 10, 1, _rho(g))  # n > sqrt(64)
+    rep = bounds.lemma_visits_lower(g, 0, 10, 1, _rho(g), gamma_k(g, 0, 1))  # n > sqrt(64)
     assert rep.verdict == "not applicable"
-    rep2 = bounds.lemma_visits_lower(petersen(), 0, 4, 1, _rho(petersen()))  # sqrt(10) < 2k+2
+    p = petersen()
+    rep2 = bounds.lemma_visits_lower(p, 0, 4, 1, _rho(p), gamma_k(p, 0, 1))  # sqrt(10) < 2k+2
     assert rep2.verdict == "not applicable"
 
 
@@ -251,14 +252,15 @@ def test_visits_lower_k2_case():
     g = configuration_model(3, 64, seed=0)
     roots = [v for v in range(g.nv) if gamma_k(g, v, 2) > 0]
     assert roots
-    rep = bounds.lemma_visits_lower(g, roots[0], 6, 2, _rho(g))
+    rep = bounds.lemma_visits_lower(g, roots[0], 6, 2, _rho(g), gamma_k(g, roots[0], 2))
     assert rep.applicable
     assert rep.verdict in OK, rep.to_dict()
 
 
 def test_visits_lower_parity_error():
+    g = configuration_model(3, 64, seed=0)
     with pytest.raises(ValueError):
-        bounds.lemma_visits_lower(configuration_model(3, 64, seed=0), 0, 5, 1, 0.5)
+        bounds.lemma_visits_lower(g, 0, 5, 1, 0.5, gamma_k(g, 0, 1))
 
 
 # -- distance to short cycles ------------------------------------------------------

@@ -1,9 +1,10 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from serregraph import census
+from serregraph import bounds, census
 from serregraph.core import (
     Walk,
     complete_graph,
@@ -157,6 +158,13 @@ def test_gamma_mc_is_unbiased_on_irregular_graphs():
     assert abs(est - exact) < 1.0
 
 
+def test_gamma_mc_reads_zero_at_an_isolated_root():
+    # no edge leaves vertex 3, so it has no k-walk to draw and none to count
+    g = from_edges(4, [(0, 1), (1, 2), (2, 0)], half_loops=[0, 1, 2])
+    assert census.gamma_k(g, 3, 3) == 0
+    assert census.gamma_k_mc(g, 3, 3, samples=100, seed=0) == 0.0
+
+
 def test_gamma_mc_rejects_zero_samples():
     with pytest.raises(ValueError, match="samples must be >= 1"):
         census.gamma_k_mc(complete_graph(4), 0, 3, samples=0)
@@ -171,8 +179,9 @@ def test_census_density_is_vertex_mean():
 def test_girth_profile_petersen():
     p = census.essential_girth_profile(petersen(), 2)
     assert p.fractions == (Fraction(1), Fraction(0))
-    assert p.beta == pytest.approx(1.0 / (30.0 * __import__("math").log(2)))
-    assert p.threshold is not None and p.threshold > 0
+    beta = bounds.essential_girth_beta(3)
+    assert beta == pytest.approx(1.0 / (30.0 * math.log(2)))
+    assert bounds.ess_girth_bound(10, 3, 1.0, beta, beta).radius > 0
 
 
 def test_girth_profile_k4_and_c6():

@@ -212,6 +212,17 @@ def test_census_mc_column(k4_path, capsys):
         assert float(mc) == pytest.approx(float(exact), abs=0.35)
 
 
+def test_census_mc_column_at_an_isolated_vertex(tmp_path, capsys):
+    from serregraph.core import from_edges
+
+    graph = tmp_path / "isolated.sgf"
+    graph.write_text(dumps(from_edges(4, [(0, 1), (1, 2), (2, 0)], half_loops=[0, 1, 2])))
+    assert main(["census", "--in", str(graph), "--k", "3", "--mc"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "vertex,gamma_3,gamma_mc"
+    assert lines[4] == "3,0,0.0"
+
+
 def test_census_over_budget_names_what_works(pet_path, capsys):
     # --mc runs the exact census too, so the error must not point to it
     assert main(["census", "--in", pet_path, "--k", "17", "--mc"]) == 1
@@ -375,7 +386,7 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
     import csv
     import io
 
-    from serregraph import bounds, spectral
+    from serregraph import bounds, census, spectral
     from serregraph.limits import configuration_model
 
     p = tmp_path / "cfg.sgf"
@@ -399,7 +410,9 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
     rho = solve(g).rho
     direct = {
         "chi": lambda k: bounds.thm_43_lower(g, 0, 4, k, samples=200, seed=0),
-        "visits": lambda k: bounds.lemma_visits_lower(g, 0, 2 * k + 2, k, rho, samples=200, seed=0),
+        "visits": lambda k: bounds.lemma_visits_lower(
+            g, 0, 2 * k + 2, k, rho, census.gamma_k(g, 0, k), samples=200, seed=0
+        ),
     }
     assert [(r["suite"], r["k"]) for r in rows] == [(s, str(k)) for s in direct for k in (2, 3)]
     for r in rows:
@@ -787,6 +800,43 @@ def test_bounds_import_leaves_spectral_unloaded():
     # given; only the CLI computes them, so bounds never loads the eigensolver
     code = "import sys, serregraph.bounds; print('serregraph.spectral' in sys.modules)"
     assert _run_python(code) == "False"
+
+
+def test_verdict_layers_leave_spectral_and_census_unloaded():
+    # a layer that needs rho(G) or gamma_k takes it from its caller, and the
+    # census classifies its Monte Carlo draws without the nullcycle layer
+    code = (
+        "import sys, serregraph.bounds, serregraph.fungroup, serregraph.nullcycles\n"
+        "print([m for m in ('spectral', 'census') if 'serregraph.' + m in sys.modules])"
+    )
+    assert _run_python(code) == "[]"
+    code = (
+        "import sys\n"
+        "from serregraph.census import gamma_k_mc\n"
+        "from serregraph.core import complete_graph\n"
+        "gamma_k_mc(complete_graph(4), 0, 3, samples=100)\n"
+        "print('serregraph.nullcycles' in sys.modules)"
+    )
+    assert _run_python(code) == "False"
+
+
+def test_package_modules_import_each_other_only_at_module_top():
+    # a relative import inside a function hides a dependency between layers;
+    # absolute imports of other packages (hashlib, scipy) may be deferred
+    import ast
+
+    import serregraph
+
+    local = set()
+    for path in sorted(Path(serregraph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                local |= {
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.ImportFrom) and inner.level > 0
+                }
+    assert sorted(local) == []
 
 
 def test_defaulted_parameter_count_stays_within_budget():

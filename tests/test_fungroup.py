@@ -32,7 +32,7 @@ from serregraph.fungroup import (
 )
 from serregraph.nullcycles import NullcycleSampler, enumerate_nullcycles, is_nullcycle
 from serregraph.report import BoundViolation
-from serregraph.spectral import radial_weight
+from serregraph.spectral import radial_weight, rho
 from serregraph.treewalk import infinite_bridge_ratio, return_probability, tables_for
 
 OK = ("pass", "pass within tolerance")
@@ -405,14 +405,14 @@ def test_limit_weight_matches_table_tail():
 
 
 def test_rose_kappa_star_equals_single_vertex_estimate():
-    ks = kappa_star(rose(2), 0, 1, mmax=200)
+    ks = kappa_star(rose(2), 0, 1, rho(rose(2)), mmax=200)
     assert ks.value == pytest.approx(0.8568995747828192, abs=1e-12)
     assert math.sqrt(3) / 2 - ks.value < 1e-2
     assert all(a <= b + 1e-12 for a, b in zip(ks.value_sequence, ks.value_sequence[1:]))
 
 
 def test_kappa_star_diagnostic_is_informational():
-    ks = kappa_star(rose(2), 0, 1, mmax=200)
+    ks = kappa_star(rose(2), 0, 1, rho(rose(2)), mmax=200)
     rep = ks.diagnostic
     assert rep.verdict == "not applicable"
     assert any(not h.ok for h in rep.hypotheses)
@@ -421,7 +421,7 @@ def test_kappa_star_diagnostic_is_informational():
 
 
 def test_k4_kappa_star_sequence():
-    ks = kappa_star(complete_graph(4), 0, 2, mmax=4)
+    ks = kappa_star(complete_graph(4), 0, 2, rho(complete_graph(4)), mmax=4)
     assert ks.value_sequence == pytest.approx([0.8579, 0.9037, 0.9254, 0.9384], abs=2e-3)
     assert ks.value == ks.value_sequence[-1]
     assert all(a <= b + 1e-12 for a, b in zip(ks.value_sequence, ks.value_sequence[1:]))

@@ -21,12 +21,7 @@ from serregraph.core import (
     validate,
 )
 from serregraph.patterns import tree_pattern
-from serregraph.spectral import (
-    markov_matrix,
-    markov_spectrum,
-    spectral_measure,
-    weakly_ramanujan_mass,
-)
+from serregraph.spectral import markov_matrix, markov_spectrum, spectral_measure
 
 
 # -- configuration model ------------------------------------------------------
@@ -211,7 +206,7 @@ def test_mass_nondecreasing_in_n_on_average():
     sds = []
     for n in (64, 128, 256):
         vals = [
-            float(weakly_ramanujan_mass(limits.configuration_model(3, n, seed=s)))
+            float(markov_spectrum(limits.configuration_model(3, n, seed=s)).weakly_ramanujan_mass)
             for s in range(10)
         ]
         means.append(np.mean(vals))
@@ -236,11 +231,11 @@ def test_planted_triangles_regular_and_contain_triangles():
 def test_planted_triangles_depress_ramanujan_mass():
     n = 256
     planted = [
-        float(weakly_ramanujan_mass(limits.planted_triangle_graph(3, n, 0.1, seed=s)))
+        float(markov_spectrum(limits.planted_triangle_graph(3, n, 0.1, seed=s)).weakly_ramanujan_mass)
         for s in range(10)
     ]
     plain = [
-        float(weakly_ramanujan_mass(limits.configuration_model(3, n, seed=s)))
+        float(markov_spectrum(limits.configuration_model(3, n, seed=s)).weakly_ramanujan_mass)
         for s in range(10)
     ]
     assert np.mean(planted) < np.mean(plain)

@@ -24,6 +24,7 @@ from serregraph.core import (
 from serregraph.limits import configuration_model
 from serregraph.report import BoundViolation
 from serregraph.sgf import dumps
+from serregraph.spectral import rho
 
 
 def schreier_triangle():
@@ -364,7 +365,7 @@ def brute_expected_visits(g, root, targets, n):
                          ids=lambda g: g.name or "g")
 def test_expected_visits_matches_enumeration(g):
     for targets in ({0}, {min(1, g.nv - 1)}, set(range(min(2, g.nv)))):
-        got = nc.expected_visits(g, 0, targets, 6)
+        got = nc.expected_visits(g, 0, targets, 6, rho(g))
         assert got.value == brute_expected_visits(g, 0, targets, 6)
 
 
@@ -372,7 +373,7 @@ def test_expected_visits_matches_enumeration(g):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_expected_visits_on_one_regular_graphs(g, n):
     # no reduced path is longer than 1 at d = 1; those distances get weight 0
-    got = nc.expected_visits(g, 0, {0}, n)
+    got = nc.expected_visits(g, 0, {0}, n, rho(g))
     assert got.value == brute_expected_visits(g, 0, {0}, n)
 
 
@@ -380,7 +381,7 @@ def test_expected_visits_on_one_regular_graphs(g, n):
 def test_expected_visits_rejects_targets_off_the_graph(target):
     # a dropped target would still count in |A| and loosen both visit bounds
     with pytest.raises(ValueError, match=f"target {target} is not a vertex \\(0..9\\)"):
-        nc.expected_visits(petersen(), 0, {0, target}, 2)
+        nc.expected_visits(petersen(), 0, {0, target}, 2, rho(petersen()))
 
 
 def test_chi_statistic_rejects_k_below_one():
@@ -390,18 +391,18 @@ def test_chi_statistic_rejects_k_below_one():
 
 
 def test_expected_visits_n2_is_two():
-    got = nc.expected_visits(complete_graph(4), 0, {0}, 2)
+    got = nc.expected_visits(complete_graph(4), 0, {0}, 2, rho(complete_graph(4)))
     assert got.value == 2
 
 
 def test_expected_visits_hypothesis_gate():
-    got = nc.expected_visits(complete_graph(4), 0, {0}, 4)
+    got = nc.expected_visits(complete_graph(4), 0, {0}, 4, rho(complete_graph(4)))
     assert all(r.verdict == "not applicable" for r in got.reports)
     assert got.value > 0
 
 
 def test_expected_visits_bounds_apply_on_petersen():
-    got = nc.expected_visits(petersen(), 0, {0}, 2)
+    got = nc.expected_visits(petersen(), 0, {0}, 2, rho(petersen()))
     gen = next(r for r in got.reports if r.name == "visit-bound general")
     assert gen.applicable and gen.verdict == "pass"
     small = next(r for r in got.reports if r.name == "visit-bound small-rho")

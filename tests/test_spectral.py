@@ -223,19 +223,20 @@ def test_hitting_bound_k4_example():
     g = complete_graph(4)
     probs = spectral.hitting_probabilities(g, 0, {0}, 2)
     assert probs[2] == Fraction(1, 3)
-    rep = spectral.hitting_bound_check(g, 0, {0}, 2)
+    rep = spectral.hitting_bound_check(g, 0, {0}, 2, spectral.rho(g))
     assert rep.verdict == "pass"
     assert rep.margin > 0
 
 
 def test_hitting_bound_all_vertices_trivial():
     g = petersen()
-    rep = spectral.hitting_bound_check(g, 0, set(range(10)), 10)
+    rep = spectral.hitting_bound_check(g, 0, set(range(10)), 10, spectral.rho(g))
     assert rep.verdict == "pass"
 
 
 def test_hitting_bound_petersen_sweep():
-    rep = spectral.hitting_bound_check(petersen(), 0, {0}, 30)
+    g = petersen()
+    rep = spectral.hitting_bound_check(g, 0, {0}, 30, spectral.rho(g))
     assert rep.verdict == "pass" and rep.margin > 0
 
 
