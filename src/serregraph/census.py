@@ -145,6 +145,8 @@ class CycleCensus:
 
 def cycle_census(g: SerreGraph, k: int) -> CycleCensus:
     _check_budget(g, k)
+    if not g.nv:
+        raise ValueError("graph has no vertices")
     per = tuple(0 if tree_radius(g, v, k // 2) == k // 2 else _count_closed_nontrivial(g, v, k)
                 for v in range(g.nv))
     total = sum(per)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows, reduce_word,
+from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows,
                    require_regular)
 from .report import BoundReport, BoundViolation, Hypothesis, upper
 from .treewalk import bridge_distance_distribution, tables_for
@@ -42,12 +42,6 @@ def classify_cycle(g: SerreGraph, walk: Walk) -> CycleClassification:
         raise ValueError("classification is defined for closed walks only")
     witness = _unbalanced_edge(g, walk.edges)
     return CycleClassification(trivial=witness is None, witness=witness)
-
-
-def is_nullcycle(g: SerreGraph, walk: Walk) -> bool:
-    """True when the edge word reduces to the empty word."""
-    walk.vertices(g)  # raises if the edge sequence is not a walk
-    return not reduce_word(g, walk.edges)
 
 
 def enumerate_nullcycles(g: SerreGraph, root: int, n: int) -> list[tuple[int, ...]]:
@@ -104,11 +98,10 @@ class NullcycleSampler:
             tuple(f for f in g.out_edges(v) if f != back) for v, back in zip(g.dst, g.inv)
         )
 
-    def sample(self, seed) -> Walk:
-        return next(self.draws(1, seed))
-
     def draws(self, count: int, seed):
         """Reproducible stream of walks; one RNG drives all count draws."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         rng = random.Random(seed)
         for _ in range(count):
             yield self._draw(rng)

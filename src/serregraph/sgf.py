@@ -30,10 +30,6 @@ def dumps(g: SerreGraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def dump(g: SerreGraph, fp) -> None:
-    fp.write(dumps(g))
-
-
 def loads(text: str, name=None) -> SerreGraph:
     header = None
     rows = []
@@ -82,12 +78,6 @@ def loads(text: str, name=None) -> SerreGraph:
     return g
 
 
-def load(fp) -> SerreGraph:
-    if isinstance(fp, (str, bytes)):
-        raise TypeError("pass a file object or use load_path")
-    return loads(fp.read())
-
-
 def load_path(path) -> SerreGraph:
     with io.open(path, "r", encoding="utf-8") as fp:
         return loads(fp.read(), name=str(path))
@@ -95,4 +85,4 @@ def load_path(path) -> SerreGraph:
 
 def dump_path(g: SerreGraph, path) -> None:
     with io.open(path, "w", encoding="utf-8") as fp:
-        dump(g, fp)
+        fp.write(dumps(g))

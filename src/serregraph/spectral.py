@@ -69,10 +69,6 @@ def _parity_sweep(g: SerreGraph) -> tuple[bool, int]:
     return bipartite, comps
 
 
-def is_bipartite(g: SerreGraph) -> bool:
-    return _parity_sweep(g)[0]
-
-
 def distinct_abs_desc(eigenvalues) -> list[float]:
     """Cluster absolute values within ABS_CLUSTER_TOL; representatives,
     descending."""

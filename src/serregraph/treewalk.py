@@ -1,32 +1,31 @@
 """Exact walk combinatorics on the d-regular tree and on Z.
 
 Everything here is arbitrary-precision integer or exact rational; bound
-comparisons are exact rational, floats appear only in reported margins and
-in the explicitly approximate helpers (quadrature, large-length normalized
-DP).
+comparisons are exact rational, and floats appear only in reported margins
+and in the normalized float DP that finite_bridge_ratio runs past length
+2048.
 
-Core tables, for the infinite d-regular tree rooted at o:
+The one stored table, for the infinite d-regular tree rooted at o:
 
-  c[n][k]  number of length-n walks starting at o that end at distance k
   u[n][k]  number of length-n walks from a fixed vertex at distance k
            that end at o
 
-They satisfy c[n][k] = u[n][k] * d * (d-1)^(k-1) for k >= 1 (the sphere at
-distance k has d*(d-1)^(k-1) exchangeable vertices) and c[n][0] = u[n][0].
-c[n][0] is also the number of nullcycles of length n at any vertex of any
-d-regular graph, which is why every other module consumes these tables.
+The sphere at distance k has sphere(d, k) = d*(d-1)^(k-1) exchangeable
+vertices (1 at k = 0), so u[n][k] * sphere(d, k) counts the length-n walks
+from o that end at distance k. u[n][0] is also the number of nullcycles of
+length n at any vertex of any d-regular graph, which is why every other
+module consumes these tables.
 
 Tables live in memory only (tables_for), one per degree, grown in place.
 A table of length N stores u on the bridge region only: row n holds
 k = 0..N-n+1, every distance a walk with n steps left can be at inside a
 length-N bridge, plus one spare. A read past a row raises IndexError, so a
 caller that needs u[n][k] asks for a table of length at least n + k - 1.
-c is derived from u by that identity on first access and has the same
-shape; nullcycle counts read u[n][0] instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -37,7 +36,11 @@ from .exact import cmp_ratio_bound, rho_tree
 from .report import BoundReport, BoundViolation, report
 
 TABLE_FORMAT_VERSION = 2
-KM_TOL = 1e-10  # largest quadrature error kesten_mckay_moment accepts
+
+
+def sphere(d: int, k: int) -> int:
+    """Number of vertices at distance k from a vertex of the d-regular tree."""
+    return d * (d - 1) ** (k - 1) if k else 1
 
 
 class TreeWalkTables:
@@ -49,9 +52,9 @@ class TreeWalkTables:
     and keeps the ones it had.
     """
 
-    __slots__ = ("d", "nmax", "_c", "u")
+    __slots__ = ("d", "nmax", "u")
 
-    def __init__(self, d: int, nmax: int, _c=None):
+    def __init__(self, d: int, nmax: int):
         if d < 1:
             raise ValueError("degree must be >= 1")
         if nmax < 0:
@@ -60,15 +63,6 @@ class TreeWalkTables:
         self.nmax = 0
         self.u = [[1, 0]]
         self._grow(nmax)
-        self._c = _c
-
-    @property
-    def c(self):
-        if self._c is None:
-            d = self.d
-            mult = [1] + [d * (d - 1) ** (k - 1) for k in range(1, self.nmax + 2)]
-            self._c = [[x * m for x, m in zip(row, mult)] for row in self.u]
-        return self._c
 
     def _grow(self, nmax):
         """Extend u to length nmax: widen row n to nmax - n + 2 entries,
@@ -93,39 +87,37 @@ class TreeWalkTables:
             for k in range(k0, min(n, width - 1) + 1, 2):
                 cur[k] = prev[k - 1] + (d - 1) * prev[k + 1]
         self.nmax = nmax
-        self._c = None
 
     # -- persistence ------------------------------------------------------
     # unused by the package; kept while perfbench/tracer.py binds both by name
 
-    def cache_key(self) -> str:
-        return f"treewalk-d{self.d}-n{self.nmax}-v{TABLE_FORMAT_VERSION}"
+    def _lines(self):
+        """The file save writes: a header, then row n of u[n][k] * sphere(d, k)."""
+        yield f"{self.d} {self.nmax} {TABLE_FORMAT_VERSION}\n"
+        for row in self.u:
+            yield " ".join(str(x * sphere(self.d, k)) for k, x in enumerate(row)) + "\n"
 
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, self.cache_key() + ".txt")
+        name = f"treewalk-d{self.d}-n{self.nmax}-v{TABLE_FORMAT_VERSION}.txt"
+        path = os.path.join(directory, name)
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
-            fh.write(f"{self.d} {self.nmax} {TABLE_FORMAT_VERSION}\n")
-            for row in self.c:
-                fh.write(" ".join(str(x) for x in row) + "\n")
+            fh.writelines(self._lines())
         os.replace(tmp, path)
         return path
 
     @classmethod
     def load(cls, d, nmax, directory):
+        """Rebuild the table and compare the file with it line by line; any
+        difference, a short header or a missing row included, raises ValueError."""
         path = os.path.join(directory, f"treewalk-d{d}-n{nmax}-v{TABLE_FORMAT_VERSION}.txt")
         with open(path) as fh:
-            header = fh.readline().split()
-            if [int(header[0]), int(header[1]), int(header[2])] != [d, nmax, TABLE_FORMAT_VERSION]:
-                raise ValueError("cache header mismatch")
-            rows = []
-            for n in range(nmax + 1):
-                vals = [int(tok) for tok in fh.readline().split()]
-                if len(vals) != nmax - n + 2:
-                    raise ValueError(f"row {n} has {len(vals)} entries")
-                rows.append(vals)
-        return cls(d, nmax, _c=rows)
+            t = cls(d, nmax)
+            for i, (want, got) in enumerate(itertools.zip_longest(t._lines(), fh), start=1):
+                if got != want:
+                    raise ValueError(f"{path}: line {i} differs from the rebuilt table")
+        return t
 
 
 _MEMO: dict[int, TreeWalkTables] = {}
@@ -134,7 +126,7 @@ _MEMO: dict[int, TreeWalkTables] = {}
 def tables_for(d: int, nmax: int) -> TreeWalkTables:
     """Shared tables, one per degree, kept in memory and grown in place on
     demand, so a sampler holding them keeps drawing the same walks; nothing
-    goes to disk, and c is derived on first access.
+    goes to disk.
 
     The table covers the bridge region of length at least nmax: row n holds
     k <= nmax - n + 1, and a read past it raises IndexError. A caller that
@@ -151,7 +143,7 @@ def tables_for(d: int, nmax: int) -> TreeWalkTables:
 
 
 def return_probability(d: int, n: int) -> Fraction:
-    """r_n = c[n][0] / d^n, the n-step return probability on the tree."""
+    """r_n = u[n][0] / d^n, the n-step return probability on the tree."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n % 2:
@@ -161,7 +153,7 @@ def return_probability(d: int, n: int) -> Fraction:
 
 
 def nullcycle_count(d: int, n: int) -> int:
-    """|N_n| = c[n][0], the number of length-n nullcycles at a vertex."""
+    """|N_n| = u[n][0], the number of length-n nullcycles at a vertex."""
     if n % 2:
         return 0
     return tables_for(d, n).u[n][0]
@@ -196,39 +188,6 @@ def check_return_bounds(d: int, nmax: int) -> list[BoundReport]:
         rep.margin = min(float(r) - (2.0 / 3.0) * scale, 10.0 * scale - float(r))
         out.append(rep)
     return out
-
-
-def kesten_mckay_moment(d: int, n: int) -> float:
-    """n-th moment of the tree spectral density by adaptive quadrature.
-
-    Substituting t = rho*sin(theta) removes the inverse-square-root edge
-    singularity; the quadrature then reaches machine accuracy. Raises if the
-    error estimate exceeds KM_TOL.
-    """
-    # imported here, its only use, so the CLI does not load scipy on every call
-    from scipy import integrate
-
-    if n % 2:
-        raise ValueError("odd moments vanish; n must be even")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if n == 0:
-        return 1.0
-    if d == 2:
-        # arcsine law on [-1, 1]
-        f = lambda th: (1.0 / math.pi) * math.sin(th) ** n
-    else:
-        rho = rho_tree(d)
-
-        def f(th):
-            s = rho * math.sin(th)
-            return (d / (2.0 * math.pi)) * (rho * math.cos(th)) ** 2 * s ** n / (1.0 - s * s)
-
-    val, err = integrate.quad(f, -math.pi / 2, math.pi / 2, epsabs=KM_TOL * 1e-2,
-                              epsrel=KM_TOL * 1e-2, limit=200)
-    if err > KM_TOL:
-        raise RuntimeError(f"quadrature achieved only {err:.3e} > tol {KM_TOL:.3e}")
-    return val
 
 
 # -- excursions on Z -------------------------------------------------------
@@ -285,9 +244,9 @@ def excursion_visits_z(k: int, n: int) -> Fraction:
 def bridge_distance_distribution(d: int, j: int, n: int) -> list[Fraction]:
     """P(|X_j| = k) for the uniform nullcycle (bridge) of length n; k = 0..j.
 
-    Splitting the bridge at time j: c[j][k] walks reach the sphere, each of
-    the d*(d-1)^(k-1) sphere vertices is equally likely, and u[n-j][k] walks
-    complete to the root, so P = c[j][k] * u[n-j][k] / c[n][0].
+    Splitting the bridge at time j: u[j][k] * sphere(d, k) walks reach the
+    sphere, each of its vertices is equally likely, and u[n-j][k] walks
+    complete to the root, so P = u[j][k] * sphere(d, k) * u[n-j][k] / u[n][0].
     """
     if n % 2 or not 0 <= j <= n:
         raise ValueError("need even n and 0 <= j <= n")
@@ -299,7 +258,7 @@ def bridge_distance_distribution(d: int, j: int, n: int) -> list[Fraction]:
         if k > kcap or (j + k) % 2:
             out.append(Fraction(0))
         else:
-            out.append(Fraction(t.c[j][k] * t.u[n - j][k], denom))
+            out.append(Fraction(t.u[j][k] * sphere(d, k) * t.u[n - j][k], denom))
     return out
 
 
@@ -319,7 +278,7 @@ def bridge_visit_expectation(d: int, k: int, n: int) -> Fraction:
     for j in range(n + 1):
         if (j + k) % 2 or k > min(j, n - j):
             continue
-        total += t.c[j][k] * t.u[n - j][k]
+        total += t.u[j][k] * sphere(d, k) * t.u[n - j][k]
     val = Fraction(total, denom)
     bound = 301 if k == 0 else 20000 * k
     if not val <= bound:
@@ -335,8 +294,7 @@ def infinite_bridge_ratio(d: int, dist: int) -> Fraction:
     of the d-regular tree (spectral.radial_weight). Returns
     (d+(d-2)(|x|+1)) / ((d-1)(d+(d-2)(|x|-1))) exactly; it is 1 at d = 2.
     The up/down transition-probability ratio of the bridge at |x| is d-1
-    times this value. bridge_ratio_convergence reports the finite-length
-    ratio next to it.
+    times this value.
     """
     if dist < 1:
         raise ValueError("dist must be >= 1")
@@ -361,7 +319,8 @@ def finite_bridge_ratio(d: int, dist: int, m: int) -> float:
     above 2048 a normalized float64 DP is used (accumulated relative error
     about m * 1e-16, far below any tolerance used on it). Its row at m serves
     every dist of one parity, and a memo of at most 64 rows keeps a run's
-    rows at m-7..m: bridge_ratio_convergence asks for m = n-dist-1.
+    rows at m-7..m, the lengths m = n-dist-1 left after dist = 1..8 steps
+    of a length-n bridge.
     """
     if dist < 1:
         raise ValueError("dist must be >= 1")
@@ -395,25 +354,3 @@ def finite_bridge_ratio(d: int, dist: int, m: int) -> float:
                 _BRIDGE_ROWS[d, j].flags.writeable = False
     row = _BRIDGE_ROWS[d, m]
     return row[dist + 1] / row[dist - 1]
-
-
-def bridge_ratio_convergence(d: int, dist: int, n: int) -> dict:
-    """Finite-length ratio at remaining length m = n - dist - 1 vs its limit.
-
-    Returns both values, the absolute error, and whether it is within 1e-6.
-    """
-    m = n - dist - 1
-    if (m + dist + 1) % 2:
-        m -= 1
-    limit = infinite_bridge_ratio(d, dist)
-    fin = finite_bridge_ratio(d, dist, m)
-    err = abs(fin - float(limit))
-    return {
-        "d": d,
-        "dist": dist,
-        "m": m,
-        "limit": limit,
-        "finite": fin,
-        "abs_error": err,
-        "within_1e6": err <= 1e-6,
-    }

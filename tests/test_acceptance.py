@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
+from scipy import integrate
 
 from serregraph.bounds import thm_main_finite, thm_main_returns
 from serregraph.census import cycle_census
@@ -30,6 +31,7 @@ from serregraph.core import (
     schreier_quotient,
     tree_m_ball,
 )
+from serregraph.exact import rho_tree
 from serregraph.fungroup import kappa_estimate
 from serregraph.limits import configuration_model, planted_triangle_graph
 from serregraph.nullcycles import (
@@ -50,12 +52,11 @@ from serregraph.spectral import (
     tree_m_ramanujan,
 )
 from serregraph.treewalk import (
-    bridge_ratio_convergence,
     bridge_visit_expectation,
     check_return_bounds,
     excursion_visits_z,
+    finite_bridge_ratio,
     infinite_bridge_ratio,
-    kesten_mckay_moment,
     return_probability,
     tables_for,
 )
@@ -135,17 +136,45 @@ def test_exact_return_probabilities_stay_inside_two_sided_envelope():
 
 # -- 2: quadrature moments against the exact walk DP ---------------------------
 
+KM_TOL = 1e-10  # largest quadrature error kesten_mckay_moment accepts
+
+
+def kesten_mckay_moment(d: int, n: int) -> float:
+    """n-th moment of the tree spectral density by adaptive quadrature.
+
+    Substituting t = rho*sin(theta) removes the inverse-square-root edge
+    singularity; the quadrature then reaches machine accuracy. Raises if the
+    error estimate exceeds KM_TOL.
+    """
+    if n == 0:
+        return 1.0
+    if d == 2:
+        # arcsine law on [-1, 1]
+        f = lambda th: (1.0 / math.pi) * math.sin(th) ** n
+    else:
+        rho = rho_tree(d)
+
+        def f(th):
+            s = rho * math.sin(th)
+            return (d / (2.0 * math.pi)) * (rho * math.cos(th)) ** 2 * s ** n / (1.0 - s * s)
+
+    val, err = integrate.quad(f, -math.pi / 2, math.pi / 2, epsabs=KM_TOL * 1e-2,
+                              epsrel=KM_TOL * 1e-2, limit=200)
+    if err > KM_TOL:
+        raise RuntimeError(f"quadrature achieved only {err:.3e} > tol {KM_TOL:.3e}")
+    return val
+
 
 def test_quadrature_moments_match_exact_walk_returns():
     worst = 0.0
-    for d in range(3, 11):
+    for d in range(2, 11):
         assert tables_for(d, 3).u[3][0] == 0
         for n in range(0, 101, 2):
             m = kesten_mckay_moment(d, n)
             r = float(return_probability(d, n))
             worst = max(worst, abs(m - r))
-    assert worst <= 1e-8, f"worst moment gap {worst:.3e}"
-    print(f"PASS: moment identity to 1e-8 on d<=10 n<=100, worst {worst:.1e}")
+    assert worst <= 1e-10, f"worst moment gap {worst:.3e}"
+    print(f"PASS: moment identity to 1e-10 on 2<=d<=10 n<=100, worst {worst:.1e}")
 
 
 # -- 3: excursion level visits and bridge visit expectations -------------------
@@ -192,20 +221,21 @@ def test_bridge_ratios_reach_pinned_limits_at_ten_thousand():
     # the measured |c2/c| is about 20 at most. A limit that is off by delta
     # makes the factor (err/2 + delta)/(err + delta), which leaves the band
     # once |delta| exceeds ~2 % of |err|, i.e. a few 1e-6.
+    # A length-n bridge at distance x has m = n - x - 1 steps left.
     misses = []
     for d in (2, 3, 4):
         for x in range(1, 6):
-            half = bridge_ratio_convergence(d, x, 5_000)
-            full = bridge_ratio_convergence(d, x, 10_000)
-            lim = float(full["limit"])
-            e_half, e_full = half["finite"] - lim, full["finite"] - lim
+            m_half, m_full = 5_000 - x - 1, 10_000 - x - 1
+            lim = float(infinite_bridge_ratio(d, x))
+            e_half = finite_bridge_ratio(d, x, m_half) - lim
+            e_full = finite_bridge_ratio(d, x, m_full) - lim
             assert e_half != 0.0, f"d={d} x={x}: finite ratio equals the limit"
             factor = e_full / e_half
-            expect = half["m"] / full["m"]
+            expect = m_half / m_full
             if abs(factor - expect) > 0.01:
                 misses.append(
-                    f"d={d} x={x}: err {e_half:.3e} at m={half['m']} -> "
-                    f"{e_full:.3e} at m={full['m']} (factor {factor:.4f}, "
+                    f"d={d} x={x}: err {e_half:.3e} at m={m_half} -> "
+                    f"{e_full:.3e} at m={m_full} (factor {factor:.4f}, "
                     f"want {expect:.4f})"
                 )
     assert not misses, (

@@ -33,12 +33,9 @@ e 5 0 2 4
 def test_file_helpers(tmp_path):
     p = tmp_path / "g.sgf"
     sgf.dump_path(rose(1), p)
+    assert p.read_text() == sgf.dumps(rose(1))
     g = sgf.load_path(p)
-    assert g.nv == 1 and g.ne == 2
-    with open(p) as fh:
-        assert sgf.load(fh).ne == 2
-    with pytest.raises(TypeError):
-        sgf.load(str(p))
+    assert g.nv == 1 and g.ne == 2 and g.name == str(p)
 
 
 @pytest.mark.parametrize(

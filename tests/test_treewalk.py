@@ -35,7 +35,8 @@ def propagate(g, start, n):
 
 
 def sphere_counts(d, n):
-    """Oracle for c[n][.]: end-distance histogram of n-walks from the root."""
+    """Oracle for u[n][k] * sphere(d, k): end-distance histogram of n-walks
+    from the root."""
     g = core.tree_ball(d, n + 1).graph
     dist = core.distances_from(g, 0)
     vec = propagate(g, 0, n)
@@ -53,7 +54,7 @@ def test_c_table_matches_ball_propagation(d):
     for n in range(9):
         hist = sphere_counts(d, n)
         for k in range(n + 1):
-            assert t.c[n][k] == hist.get(k, 0), (d, n, k)
+            assert t.u[n][k] * tw.sphere(d, k) == hist.get(k, 0), (d, n, k)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -76,17 +77,17 @@ def test_row_sums_and_cross_identity():
         # rows n <= 30 hold every k <= n in a table of length 60
         t = tw.tables_for(d, 60)
         for n in range(31):
-            assert sum(t.c[n]) == d ** n
+            assert sum(x * tw.sphere(d, k) for k, x in enumerate(t.u[n])) == d ** n
             for k in range(1, n + 1):
-                assert t.c[n][k] == t.u[n][k] * d * (d - 1) ** (k - 1)
-            assert t.c[n][0] == t.u[n][0]
+                assert tw.sphere(d, k) == d * (d - 1) ** (k - 1)
+            assert tw.sphere(d, 0) == 1
 
 
 @given(d=st.integers(2, 7), n=st.integers(0, 60))
 @settings(max_examples=40, deadline=None)
 def test_row_sum_property(d, n):
     t = tw.tables_for(d, 2 * n)
-    assert sum(t.c[n][: n + 2]) == d ** n
+    assert sum(x * tw.sphere(d, k) for k, x in enumerate(t.u[n][: n + 2])) == d ** n
 
 
 def test_frozen_return_probabilities():
@@ -108,18 +109,6 @@ def test_return_bounds_smoke():
     assert all(r.margin > 0 for r in reps)
     with pytest.raises(ValueError):
         tw.check_return_bounds(2, 10)
-
-
-@pytest.mark.parametrize("d,n", [(2, 12), (3, 20), (4, 10), (10, 8), (3, 0)])
-def test_kesten_mckay_moment_matches_exact(d, n):
-    got = tw.kesten_mckay_moment(d, n)
-    want = float(tw.return_probability(d, n))
-    assert abs(got - want) <= 1e-10
-
-
-def test_kesten_mckay_rejects_odd():
-    with pytest.raises(ValueError):
-        tw.kesten_mckay_moment(3, 5)
 
 
 # -- excursions -------------------------------------------------------------
@@ -301,20 +290,20 @@ def test_infinite_bridge_ratio_values():
 
 
 def test_bridge_ratio_convergence_reports_honestly():
-    out = tw.bridge_ratio_convergence(3, 1, 500)
-    assert out["m"] <= 499
-    assert out["abs_error"] == abs(out["finite"] - float(out["limit"]))
-    # the finite ratio tends to h(x+1)/h(x-1) with error about c/m, c ~ 4
-    # here, so the gap at m = 498 is about 8e-3
-    assert out["within_1e6"] is False
+    # a length-500 bridge at distance 1 has m = 500 - 1 - 1 steps left; the
+    # finite ratio tends to h(x+1)/h(x-1) with error about c/m, c ~ 4 here,
+    # so the gap at m = 498 is about 8e-3, far outside 1e-6
+    gap = abs(tw.finite_bridge_ratio(3, 1, 498) - float(tw.infinite_bridge_ratio(3, 1)))
+    assert 4e-3 < gap < 1.6e-2
 
 
 def test_d2_bridge_ratio_converges_slowly():
     # at d = 2 the limit is 1, but the finite ratio is m/(m+2) for dist 1:
     # off by ~2/m
-    out = tw.bridge_ratio_convergence(2, 1, 1000)
-    assert abs(out["finite"] - (out["m"] / (out["m"] + 2))) < 1e-12
-    assert not out["within_1e6"]
+    m = 1000 - 1 - 1
+    fin = tw.finite_bridge_ratio(2, 1, m)
+    assert abs(fin - m / (m + 2)) < 1e-12
+    assert abs(fin - float(tw.infinite_bridge_ratio(2, 1))) > 1e-6
 
 
 # -- cache ------------------------------------------------------------------
@@ -325,11 +314,15 @@ def test_table_cache_roundtrip(tmp_path):
     path = t.save(str(tmp_path))
     assert path.endswith(".txt")
     t2 = tw.TreeWalkTables.load(5, 12, str(tmp_path))
-    assert t2.c == t.c and t2.u == t.u
+    assert t2.u == t.u
     rows = open(path).read().splitlines()[1:]
     assert [len(row.split()) for row in rows] == [12 - n + 2 for n in range(13)]
     with pytest.raises(FileNotFoundError):
         tw.TreeWalkTables.load(5, 14, str(tmp_path))
+    # row n holds u[n][k] * sphere(d, k), the walks from the root that end at
+    # distance k
+    path = tw.TreeWalkTables(3, 2).save(str(tmp_path))
+    assert open(path).read() == f"3 2 {tw.TABLE_FORMAT_VERSION}\n1 0 0 0\n0 3 0\n3 0\n"
 
 
 def test_table_cache_header_guard(tmp_path):
@@ -340,6 +333,28 @@ def test_table_cache_header_guard(tmp_path):
     text = open(path).read().replace(header, "3 4 9", 1)
     open(path, "w").write(text)
     with pytest.raises(ValueError):
+        tw.TreeWalkTables.load(3, 4, str(tmp_path))
+
+
+def test_table_cache_load_rejects_altered_values(tmp_path):
+    path = tw.TreeWalkTables(3, 6).save(str(tmp_path))
+    lines = open(path).read().splitlines(keepends=True)
+    row = [int(x) for x in lines[3].split()]  # row n = 2 after the header
+    assert row[:3] == [3, 0, 6]
+    row[2] += 1
+    open(path, "w").writelines(lines[:3] + [" ".join(map(str, row)) + "\n"] + lines[4:])
+    with pytest.raises(ValueError, match="line 4 differs"):
+        tw.TreeWalkTables.load(3, 6, str(tmp_path))
+    open(path, "w").writelines(lines[:-1])  # the last row is missing
+    with pytest.raises(ValueError, match="line 8 differs"):
+        tw.TreeWalkTables.load(3, 6, str(tmp_path))
+
+
+def test_table_cache_load_rejects_a_two_field_header(tmp_path):
+    path = tw.TreeWalkTables(3, 4).save(str(tmp_path))
+    text = open(path).read().replace(f"3 4 {tw.TABLE_FORMAT_VERSION}\n", "3 4\n", 1)
+    open(path, "w").write(text)
+    with pytest.raises(ValueError, match="line 1 differs"):
         tw.TreeWalkTables.load(3, 4, str(tmp_path))
 
 
@@ -365,14 +380,14 @@ def test_tables_for_grows_the_kept_table_in_place(monkeypatch):
 
     monkeypatch.setattr(tw.TreeWalkTables, "__init__", counted)
     t = tw.tables_for(3, 400)
-    assert len(t.c) == 401
+    assert len(t.u) == 401
     sampler = NullcycleSampler(petersen(), 0, 40)
     before = list(sampler.draws(30, seed=5))
     assert tw.tables_for(3, 600) is t and sampler.tables is t
     assert builds == [(3, 400)]
     assert list(sampler.draws(30, seed=5)) == before
     fresh = tw.TreeWalkTables(3, 600)
-    assert t.nmax == 600 and t.u == fresh.u and t.c == fresh.c
+    assert t.nmax == 600 and t.u == fresh.u
 
 
 def _c_eager(d, nmax):
@@ -393,11 +408,12 @@ def _region(rows, nmax):
 
 
 def test_lazy_c_equals_the_eager_dp():
+    # u times the sphere sizes gives c, the walks from the root by end
+    # distance, which an independent recurrence computes directly
     for d in range(1, 8):
         t = tw.TreeWalkTables(d, 40)
-        assert t._c is None
-        assert t.c == _region(_c_eager(d, 40), 40)
-        assert t.c is t._c
+        c = [[x * tw.sphere(d, k) for k, x in enumerate(row)] for row in t.u]
+        assert c == _region(_c_eager(d, 40), 40)
 
 
 def test_nullcycle_counts_leave_c_unbuilt(monkeypatch):
@@ -405,7 +421,7 @@ def test_nullcycle_counts_leave_c_unbuilt(monkeypatch):
     assert tw.nullcycle_count(4, 30) == _c_eager(4, 30)[30][0]
     assert tw.return_probability(4, 30) == Fraction(_c_eager(4, 30)[30][0], 4 ** 30)
     assert len(tw.check_return_bounds(4, 30)) == 15
-    assert tw._MEMO[4]._c is None
+    assert tw.TreeWalkTables.__slots__ == ("d", "nmax", "u")  # u is all a table stores
 
 
 def _u_full(d, nmax):
@@ -447,14 +463,14 @@ def test_tables_hold_exactly_the_bridge_region(d, lengths):
                 row[nmax - n + 2]
         t._grow(n2)
     fresh = tw.TreeWalkTables(d, n2)
-    assert t.u == fresh.u and t.c == fresh.c
+    assert t.u == fresh.u
 
 
 def test_length_600_table_stores_only_the_region(monkeypatch):
     monkeypatch.setattr(tw, "_MEMO", {})
     t = tw.tables_for(3, 600)
     region = sum(600 - n + 2 for n in range(601))
-    assert sum(map(len, t.u)) == region == sum(map(len, t.c))
+    assert sum(map(len, t.u)) == region
 
 
 def test_readers_past_the_region_ask_for_their_length(monkeypatch):
