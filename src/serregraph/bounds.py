@@ -188,6 +188,19 @@ def thm_main_returns(
 # -- the chi display and the density-to-visits step -------------------------------
 
 
+def _over_nullcycles(g: SerreGraph, root: int, n: int, stat, samples: int, seed: int,
+                     least: int) -> tuple[list, str]:
+    """stat of every length-n nullcycle at root while d^n fits EXACT_BUDGET,
+    with notes ""; otherwise stat of samples seeded uniform draws, with notes
+    naming the Monte-Carlo route. Fewer than least samples is an error."""
+    if require_regular(g) ** n <= EXACT_BUDGET:
+        return [stat(Walk(root, edges)) for edges in enumerate_nullcycles(g, root, n)], ""
+    if samples < least:
+        raise ValueError(f"samples must be >= {least}")
+    draws = NullcycleSampler(g, root, n).draws(samples, seed)
+    return [stat(w) for w in draws], f"Monte Carlo, {samples} draws, tolerance is 3 sigma"
+
+
 def thm_43_lower(
     g: SerreGraph,
     root: int,
@@ -211,26 +224,16 @@ def thm_43_lower(
     ck = float(c_k(d, k))
     closed = _closed_walks(g, root, nk)
     ncount = nullcycle_count(d, nk)
-    notes = ""
-    if d ** nk <= EXACT_BUDGET:
-        total = 0.0
-        for edges in enumerate_nullcycles(g, root, nk):
-            w = Walk(root, edges)
-            total += math.exp(ck * chi_statistic(g, w, k, lv) / lv)
-        rhs = total / 14.0
-        tol = 1e-9 * (1.0 + abs(rhs))
-    else:
-        if samples < 2:
-            raise ValueError("samples must be >= 2")
-        s = NullcycleSampler(g, root, nk)
-        vals = [
-            math.exp(ck * chi_statistic(g, w, k, lv) / lv) for w in s.draws(samples, seed)
-        ]
+    vals, notes = _over_nullcycles(
+        g, root, nk, lambda w: math.exp(ck * chi_statistic(g, w, k, lv) / lv), samples, seed, 2)
+    if notes:
         mean = sum(vals) / samples
         var = sum((x - mean) ** 2 for x in vals) / (samples - 1)
         rhs = float(ncount) * mean / 14.0
         tol = float(ncount) * 3.0 * math.sqrt(var / samples) / 14.0
-        notes = f"Monte Carlo, {samples} draws, tolerance is 3 sigma"
+    else:
+        rhs = sum(vals) / 14.0
+        tol = 1e-9 * (1.0 + abs(rhs))
     return report(
         f"chi-exp-lower n={n} k={k}",
         lhs=float(closed),
@@ -277,23 +280,10 @@ def lemma_visits_lower(
         "2k+2 <= n <= sqrt|G|", 2 * k + 2 <= n <= math.isqrt(g.nv), f"n={n}, |G|={g.nv}"
     )
     rhs = gamma_root / (30.0 * (4 * d - 4) ** k)
-    notes = ""
-    if d ** n <= EXACT_BUDGET:
-        hits = 0
-        walks = enumerate_nullcycles(g, root, n)
-        for edges in walks:
-            hits += _segment_indicator(g, Walk(root, edges), k, lv)
-        lhs = hits / len(walks)
-        tol = 1e-12
-    else:
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
-        s = NullcycleSampler(g, root, n)
-        hits = sum(_segment_indicator(g, w, k, lv) for w in s.draws(samples, seed))
-        p = hits / samples
-        lhs = p
-        tol = 3.0 * math.sqrt(max(p * (1 - p), 1e-12) / samples)
-        notes = f"Monte Carlo, {samples} draws, tolerance is 3 sigma"
+    hits, notes = _over_nullcycles(
+        g, root, n, lambda w: _segment_indicator(g, w, k, lv), samples, seed, 1)
+    lhs = sum(hits) / len(hits)
+    tol = 3.0 * math.sqrt(max(lhs * (1 - lhs), 1e-12) / samples) if notes else 1e-12
     return report(
         f"density-to-visits n={n} k={k}",
         lhs=lhs,

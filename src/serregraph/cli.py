@@ -258,8 +258,8 @@ def _cmd_nullcycle(args, emitter: _Emitter) -> int:
                 rec["visits"] = sum(1 for v in walk.vertices(g) if v == args.root)
             else:
                 rec[f"chi_k{k}_l{ell}"] = nullcycles.chi_statistic(g, walk, k, ell)
-        lines.append(json.dumps(_jsonable(rec), sort_keys=True))
-    emitter.write("\n".join(lines) + "\n", args.out)
+        lines.append(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
+    emitter.write("".join(lines), args.out)
     return 0
 
 

@@ -16,8 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (SerreGraph, Walk, _edge_arrays, _walk_inflows, distances_from, reduce_word,
-                   require_regular)
+from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, reduce_word, require_regular
 from .exact import rho_tree
 from .report import BoundReport, BoundViolation, Hypothesis, report
 from .treewalk import return_probability, tables_for
@@ -84,19 +83,6 @@ def _walks_between(g: SerreGraph, x: int, y: int, k: int) -> list[tuple[int, ...
                 raise ValueError(f"more than {WALK_BUDGET} walk prefixes of length {k}")
             stack.append((dst[e], prefix + (e,)))
     return out
-
-
-def _path_to(g: SerreGraph, x: int, y: int) -> tuple[int, ...]:
-    """Edge ids of a BFS-shortest walk x -> y: each step goes to a neighbour
-    one closer to y."""
-    dist = distances_from(g, y)
-    if x not in dist:
-        raise ValueError(f"no path from {x} to {y}")
-    dst, edges, v = g.dst, [], x
-    while v != y:
-        edges.append(next(e for e in g.out_edges(v) if dist[dst[e]] == dist[v] - 1))
-        v = dst[edges[-1]]
-    return tuple(edges)
 
 
 def _flog(p) -> float:
@@ -171,10 +157,11 @@ def kappa_estimate(
 ) -> KappaEstimate:
     """Estimate the norm of the averaged walk operator over W_k(x, y).
 
-    Walks are conjugated into closed words by u_path (some vertex to x) and
-    v_path (y back to that vertex); defaults pick x as the basepoint with a
-    BFS return path. The estimates do not depend on that choice, which
-    tests verify by passing a second pair.
+    A pair step w_a w_b^-1 is a closed word at x, so without paths the words
+    are the reduced walks themselves. Optional u_path (some vertex to x) and
+    v_path (y back to that vertex) conjugate every step by the same word,
+    which leaves every return probability unchanged; tests verify that by
+    passing a pair.
 
     method "auto" uses exact tree tables when the reduced walk set is a
     free symmetric letter set (loop bouquets), otherwise an exact rational
@@ -193,20 +180,19 @@ def kappa_estimate(
         raise ValueError(f"no walks of length {k} from {x} to {y}")
     if (u_path is None) != (v_path is None):
         raise ValueError("provide both u_path and v_path or neither")
-    if u_path is None:
-        u_path, v_path = (), _path_to(g, y, x)
-    u_path, v_path = tuple(u_path), tuple(v_path)
-    base = g.src[u_path[0]] if u_path else x
-    if u_path and Walk(base, u_path).vertices(g)[-1] != x:
-        raise ValueError("u_path must end at x")
-    if v_path:
-        vs = Walk(g.src[v_path[0]], v_path).vertices(g)
-        if vs[0] != y or vs[-1] != base:
-            raise ValueError("v_path must run from y back to the basepoint")
-    elif y != base:
-        raise ValueError("empty v_path requires y == basepoint")
-    u = reduce_word(g, u_path)
-    v = reduce_word(g, v_path)
+    u = v = ()
+    if u_path is not None:
+        u_path, v_path = tuple(u_path), tuple(v_path)
+        base = g.src[u_path[0]] if u_path else x
+        if u_path and Walk(base, u_path).vertices(g)[-1] != x:
+            raise ValueError("u_path must end at x")
+        if v_path:
+            vs = Walk(g.src[v_path[0]], v_path).vertices(g)
+            if vs[0] != y or vs[-1] != base:
+                raise ValueError("v_path must run from y back to the basepoint")
+        elif y != base:
+            raise ValueError("empty v_path requires y == basepoint")
+        u, v = reduce_word(g, u_path), reduce_word(g, v_path)
 
     if method not in ("auto", "exact", "mc"):
         raise ValueError("method must be auto, exact, or mc")
@@ -302,11 +288,6 @@ def kappa_estimate(
 # -- endpoint distribution of nullcycle segments -----------------------------------
 
 
-def _nb_counts(g: SerreGraph, o: int, kmax: int) -> list[list[int]]:
-    """nb[j][x] = number of backtrack-free j-walks from o to x, exact."""
-    return [c.tolist() for c in _walk_inflows(g.nv, _edge_arrays(g), o, kmax, reduced=True)]
-
-
 @dataclass
 class PkDistribution:
     """Where a uniform nullcycle of length n sits at time k, with the
@@ -350,7 +331,8 @@ def p_k_distribution(g: SerreGraph, o: int, k: int, nmax: int = 400) -> PkDistri
         raise ValueError("nmax too small for this k")
     # u[k][j] for j <= k lies in the region of a bridge of length 2k
     t = tables_for(d, max(nmax, 2 * k, 2))
-    nb = _nb_counts(g, o, k)
+    # nb[j][x] = number of backtrack-free j-walks from o to x, exact
+    nb = [c.tolist() for c in _walk_inflows(g.nv, _edge_arrays(g), o, k, reduced=True)]
     js = [j for j in range(k % 2, k + 1, 2) if t.u[k][j]]
 
     def dist_at(n: int) -> dict[int, Fraction]:
@@ -421,8 +403,6 @@ def kappa_star(g: SerreGraph, o: int, k: int, rho_value: float, mmax: int = 4) -
     pk = p_k_distribution(g, o, k)
     ests = {x: kappa_estimate(g, o, x, k, mmax) for x in sorted(pk.values)}
     m_common = min(e.achieved_m for e in ests.values())
-    if m_common < 1:
-        raise ValueError("no common achieved m across endpoint estimates")
     seq = []
     for m in range(m_common):
         log_val = sum(float(q) * math.log(ests[x].kappa[m]) for x, q in pk.values.items())
@@ -462,8 +442,6 @@ def lemma_basic_check(g: SerreGraph, o: int, x: int, w_path, k: int) -> BoundRep
     elif x != o:
         raise ValueError("empty w_path requires x == o")
     W = _walks_between(g, o, x, k)
-    if not W:
-        raise ValueError(f"no walks of length {k} from {o} to {x}")
     est = kappa_estimate(g, o, x, k, mmax=6)
     closed_null = sum(1 for w in W if reduce_word(g, w + w_path) == ())
     lhs_mid = len(W) * est.last
@@ -492,7 +470,9 @@ def szep_tree_degenerate(d: int, nkmax: int = 64) -> BoundReport:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    t = tables_for(d, max(nkmax, 2))
+    if nkmax < 2:
+        raise ValueError("nkmax must be >= 2")
+    t = tables_for(d, nkmax)
     worst = None
     for nk in range(2, nkmax + 1, 2):
         lhs = 2 ** nk * (d - 1) ** (nk // 2)  # (2 sqrt(d-1))^nk

@@ -86,6 +86,8 @@ class NullcycleSampler:
     def __init__(self, g: SerreGraph, root: int, n: int):
         if n % 2:
             raise ValueError("nullcycles have even length")
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         if not 0 <= root < g.nv:
             raise ValueError(f"root {root} is not a vertex (0..{g.nv - 1})")
         self.d = require_regular(g)
@@ -144,6 +146,8 @@ def sampler_distribution(g: SerreGraph, root: int, n: int) -> dict[tuple[int, ..
     d = require_regular(g)
     if n % 2:
         raise ValueError("nullcycles have even length")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     u = tables_for(d, max(n, 2)).u
     dst, inv = g.dst, g.inv
     out: dict[tuple[int, ...], Fraction] = {}

@@ -312,6 +312,29 @@ def test_bounds_walks_output_is_pinned(cfg3_256_path, capsys, monkeypatch):
     assert out.out == WALKS_CFG3_256 and out.err == ""
 
 
+# d^n fits bounds.EXACT_BUDGET at the default lengths on Petersen, so both
+# suites enumerate every nullcycle
+WALKS_PETERSEN_EXACT = (
+    "suite,k,name,verdict,lhs,rhs,margin,tolerance,failed_hypotheses,notes\n"
+    "chi,1,chi-exp-lower n=4 k=1,pass,15.0,1.0714285714285714,13.928571428571429,"
+    "2.0714285714285713e-09,,\n"
+    "chi,2,chi-exp-lower n=4 k=2,pass,759.0,38.785714285714285,720.2142857142857,"
+    "3.978571428571429e-08,,\n"
+    "chi,3,chi-exp-lower n=4 k=3,pass,54783.0,1701.642857142857,53081.357142857145,"
+    "1.7026428571428571e-06,,\n"
+    "visits,1,density-to-visits n=4 k=1,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
+    "visits,2,density-to-visits n=6 k=2,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
+    "visits,3,density-to-visits n=8 k=3,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
+)
+
+
+def test_bounds_exact_walks_output_is_pinned(pet_path, capsys):
+    args = ["bounds", "verify", "--in", pet_path, "--suite", "chi,visits", "--k", "1..3"]
+    assert main(args) == 0
+    out = capsys.readouterr()
+    assert out.out == WALKS_PETERSEN_EXACT and out.err == ""
+
+
 def test_bounds_girth_output_is_pinned(tmp_path, capsys):
     assert main(["fixtures", "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -506,6 +529,49 @@ def test_kappa_exact_rational(k4_path, capsys):
     assert data["p_even"] == ["11/216"]
     assert data["method"] == "word-dp"
     assert data["kappa"][0] == pytest.approx((11 / 216) ** (1 / 4))
+
+
+# off-diagonal estimates frozen from the release that conjugated every walk
+# by a BFS path back to x: the pair steps cancel that path, so the rationals
+# and the seeded stream must not move without it
+_ONE = {"kappa": [1.0, 1.0], "truncated": False, "x": 0, "y": 2, "k": 2}
+_ONE_DP = {**_ONE, "method": "word-dp", "p_even": ["1", "1"], "stderr": None}
+_ONE_MC = {**_ONE, "method": "monte-carlo", "p_even": [1.0, 1.0], "stderr": [0.0, 0.0]}
+_C6_K4_DP = {
+    "k": 4, "x": 0, "y": 2, "truncated": False, "method": "word-dp", "stderr": None,
+    "kappa": [0.8465570947589753, 0.8800491354874562, 0.9021635477804676],
+    "p_even": ["321/625", "28109/78125", "70968129/244140625"],
+}
+KAPPA_OFF_DIAGONAL = {
+    ("c6", 2, "auto"): _ONE_DP,
+    ("c6", 2, "exact"): _ONE_DP,
+    ("c6", 2, "mc"): _ONE_MC,
+    ("cfg3-64-s0", 2, "auto"): _ONE_DP,
+    ("cfg3-64-s0", 2, "exact"): _ONE_DP,
+    ("cfg3-64-s0", 2, "mc"): _ONE_MC,
+    ("c6", 4, "auto"): _C6_K4_DP,
+    ("c6", 4, "exact"): _C6_K4_DP,
+    ("c6", 4, "mc"): {
+        "k": 4, "x": 0, "y": 2, "truncated": False, "method": "monte-carlo",
+        "kappa": [0.8434078312128419, 0.8923356760098983, 0.9025028269794351],
+        "p_even": [0.506, 0.402, 0.292],
+        "stderr": [0.02235906974809104, 0.021926969694875762, 0.0203340109176719],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(KAPPA_OFF_DIAGONAL), ids=lambda c: f"{c[0]}-k{c[1]}-{c[2]}")
+def test_kappa_off_diagonal_output_is_pinned(case, tmp_path, capsys):
+    name, k, method = case
+    assert main(["fixtures", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    args = ["kappa", "--in", str(tmp_path / f"{name}.sgf"), "--x", "0", "--y", "2", "--k", str(k),
+            "--mmax", str(len(KAPPA_OFF_DIAGONAL[case]["kappa"])), "--method", method,
+            "--samples", "500", "--seed", "3", "--json"]
+    assert main(args) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == json.dumps(KAPPA_OFF_DIAGONAL[case], indent=2, sort_keys=True) + "\n"
 
 
 # -- limits ------------------------------------------------------------------------
@@ -773,6 +839,25 @@ def test_nullcycle_negative_count_exit_one(pet_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: count must be >= 0, got -2\n"
+
+
+def test_nullcycle_negative_length_exit_one(pet_path, capsys):
+    # a negative length used to print empty walks with "n": -2
+    args = ["nullcycle", "sample", "--in", pet_path, "--root", "0", "--n", "-2", "--count", "2"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be >= 0, got -2\n"
+
+
+def test_nullcycle_zero_draws_write_nothing(pet_path, tmp_path, capsys):
+    # zero JSON records are zero lines: no blank line for a reader to parse
+    args = ["nullcycle", "sample", "--in", pet_path, "--root", "0", "--n", "4", "--count", "0"]
+    assert main(args) == 0
+    assert capsys.readouterr() == ("", "")
+    out = tmp_path / "draws.jsonl"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_text() == "" and capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("flag", ["--x", "--y"])

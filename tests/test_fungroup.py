@@ -12,7 +12,6 @@ from serregraph.core import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    distances_from,
     half_loop_rose,
     petersen,
     rose,
@@ -21,7 +20,6 @@ from serregraph.core import (
 from serregraph.exact import rho_tree
 from serregraph.fungroup import (
     KappaEstimate,
-    _path_to,
     _tv,
     homotopy_class,
     kappa_estimate,
@@ -131,25 +129,6 @@ def test_nullhomotopic_iff_nullcycle_on_closed_walks():
 
 
 # -- kappa estimates ----------------------------------------------------------
-
-
-def test_path_to_is_a_shortest_walk():
-    from serregraph.limits import configuration_model
-
-    for g in (petersen(), cycle_graph(7), tree_ball(3, 3).graph, configuration_model(3, 64, seed=2),
-              disjoint_union(half_loop_rose(2), rose(1))):
-        for x in range(g.nv):
-            dist = distances_from(g, x)
-            for y in dist:
-                path = _path_to(g, x, y)
-                assert len(path) == dist[y]
-                assert Walk(x, path).vertices(g)[-1] == y
-
-
-def test_path_to_rejects_a_disconnected_pair():
-    g = disjoint_union(cycle_graph(3), cycle_graph(4))
-    with pytest.raises(ValueError, match="no path from 0 to 5"):
-        _path_to(g, 0, 5)
 
 
 def test_tree_ball_kappa_is_exactly_one():
@@ -479,6 +458,14 @@ def test_norm_chain_validates_return_path():
         lemma_basic_check(g, 0, 1, (e01,), 2)  # runs 0 -> 1, not 1 -> 0
 
 
+def test_norm_chain_without_walks_names_the_pair():
+    # girth 5: adjacent Petersen vertices share no 2-walk
+    g = petersen()
+    e10 = next(e for e in range(g.ne) if g.src[e] == 1 and g.dst[e] == 0)
+    with pytest.raises(ValueError, match="no walks of length 2 from 0 to 1"):
+        lemma_basic_check(g, 0, 1, (e10,), 2)
+
+
 def test_trivial_group_walk_bound_is_exact():
     for d in (3, 4):
         rep = szep_tree_degenerate(d, nkmax=64)
@@ -488,3 +475,11 @@ def test_trivial_group_walk_bound_is_exact():
     assert sz.constants["count ratio"] == pytest.approx(8 / 3)
     # nk = 2 by hand: 2^2 (d-1) = 8 against |N_2| = 3
     assert 2 ** 2 * 2 == 8 and tables_for(3, 2).u[2][0] == 3
+
+
+@pytest.mark.parametrize("nkmax", [1, 0, -4])
+def test_trivial_group_walk_bound_needs_an_even_length(nkmax):
+    # below 2 there is no even nk to compare; the search used to end in a
+    # TypeError unpacking its empty result
+    with pytest.raises(ValueError, match="nkmax must be >= 2"):
+        szep_tree_degenerate(3, nkmax)

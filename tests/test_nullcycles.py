@@ -144,6 +144,16 @@ def test_sampler_rejects_odd_length():
         nc.NullcycleSampler(complete_graph(4), 0, 5)
 
 
+@pytest.mark.parametrize("build", [nc.NullcycleSampler, nc.sampler_distribution],
+                         ids=["sampler", "distribution"])
+def test_negative_length_is_rejected(build):
+    # the sampler used to draw empty walks and the distribution to divide 0 by 0
+    with pytest.raises(ValueError, match="n must be >= 0, got -2"):
+        build(complete_graph(4), 0, -2)
+    with pytest.raises(ValueError, match="nullcycles have even length"):
+        build(complete_graph(4), 0, -3)
+
+
 def test_half_loop_rose_words_reduce():
     g = half_loop_rose(3)
     s = nc.NullcycleSampler(g, 0, 6)

@@ -22,11 +22,16 @@ from serregraph.core import (
     petersen,
     rose,
 )
-from serregraph.fungroup import _nb_counts
 from serregraph.nullcycles import nonbacktracking_hit_fractions
 from serregraph.percolation import cover_sphere_sizes, percolate
 from serregraph.spectral import (_b_operator, hitting_probabilities, nonbacktracking_closed_counts,
                                  walk_counts)
+
+
+def _nb_counts(g, o, kmax):
+    """nb[j][x] = backtrack-free j-walks from o to x, as fungroup.p_k_distribution
+    reads them from the kernel."""
+    return [c.tolist() for c in _walk_inflows(g.nv, _edge_arrays(g), o, kmax, reduced=True)]
 
 
 def ref_walk_counts(g, o, nmax):
