@@ -13,6 +13,13 @@ with half-loops to degree 4 would not change them either, since half-loops
 do not move in the cover. The tail of |S_n|^(1/n) is the finite stand-in
 for the lower growth of the infinite cluster's cover.
 
+The mask's uniforms are numpy's PCG64 stream seeded through SeedSequence,
+the stream of np.random.Generator(np.random.PCG64(seed)).random, reproduced
+bit for bit here in integer arithmetic: importing numpy.random would load
+its extension modules and, through secrets and hashlib, OpenSSL. One stream
+serves every p, so windows at one seed are coupled in p through shared
+uniforms.
+
 Finite windows clip the infinite cluster. Counts at radius n are unbiased
 only while the metric ball stays off the window border, so every growth
 estimate carries a boundary_clean flag instead of silently mixing clipped
@@ -22,6 +29,7 @@ and clean radii.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,12 +123,102 @@ class PercolationWindow:
         return self.border_distance is None or n < self.border_distance
 
 
+# numpy's SeedSequence hash constants and the PCG64 (128-bit LCG, XSL-RR
+# output) multiplier, M. E. O'Neill, HMC-CS-2014-0905
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# lanes of the vectorized stream: draw i of the mask is lane i % _BLOCK
+_BLOCK = 4096
+
+
+def _pcg64_start(seed: int) -> tuple[int, int]:
+    """(state, increment) of numpy's PCG64(SeedSequence(seed)) before its
+    first draw: the 32-bit words of seed, least significant first, hashed
+    into a pool of four words and expanded to a 128-bit seed and stream."""
+
+    def hasher(const, mult):
+        def hash32(value):
+            nonlocal const
+            value ^= const
+            const = const * mult & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        return hash32
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    for word in words[4:]:
+        for j in range(4):
+            pool[j] = mix(pool[j], hashmix(word))
+    out = list(map(hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+    # word pairs make uint64s, low word first; the first uint64 of each 128-bit
+    # number is its high half
+    start = out[1] << 96 | out[0] << 64 | out[3] << 32 | out[2]
+    inc = (out[5] << 96 | out[4] << 64 | out[7] << 32 | out[6]) << 1 & _M128 | 1
+    return ((inc + start) * _PCG_MULT + inc) & _M128, inc
+
+
+def _jump(lo: np.ndarray, hi: np.ndarray, mult: int, incr: int):
+    """s -> mult*s + incr mod 2**128 on every lane, s = hi*2**64 + lo in
+    uint64 halves; top, the high word of lo times mult's low word, is built
+    from 32-bit pieces."""
+    c32, m32 = np.uint64(32), np.uint64(_M32)
+    m_lo, m_hi = np.uint64(mult & _M64), np.uint64(mult >> 64)
+    i_lo, i_hi = np.uint64(incr & _M64), np.uint64(incr >> 64)
+    a0, a1, b0, b1 = lo & m32, lo >> c32, m_lo & m32, m_lo >> c32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> c32) + (p01 & m32) + (p10 & m32)
+    top = a1 * b1 + (p01 >> c32) + (p10 >> c32) + (mid >> c32)
+    new_lo = lo * m_lo + i_lo
+    return new_lo, top + lo * m_hi + hi * m_lo + i_hi + (new_lo < i_lo)
+
+
+def _open_mask(width: int, height: int, p: float, seed: int) -> np.ndarray:
+    """The (width, height) bool mask of uniforms below p, uniform i being
+    (x >> 11) * 2**-53 for the i-th 64-bit PCG64 output x, in C order.
+
+    The lanes start as draw 0 and double by jumps until a block is full
+    (mult, incr always jump by the lane count); each further block is one
+    jump of every lane, so no (width, height) float array is built."""
+    n = width * height
+    state, inc = _pcg64_start(seed)
+    state = (state * _PCG_MULT + inc) & _M128
+    lo, hi = np.array([state & _M64], np.uint64), np.array([state >> 64], np.uint64)
+    mult, incr = _PCG_MULT, inc
+    while lo.size < min(n, _BLOCK):
+        more_lo, more_hi = _jump(lo, hi, mult, incr)
+        lo, hi = np.concatenate((lo, more_lo)), np.concatenate((hi, more_hi))
+        mult, incr = mult * mult & _M128, incr * (mult + 1) & _M128
+    limit = p * 2.0**53  # exact, and (x >> 11) < 2**53 converts exactly
+    mask = np.empty(n, dtype=bool)
+    for start in range(0, n, lo.size):
+        if start:
+            lo, hi = _jump(lo, hi, mult, incr)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+        mask[start : start + lo.size] = (x >> np.uint64(11))[: n - start] < limit
+    return mask.reshape(width, height)
+
+
 def percolate(width: int, height: int, p: float, seed: int) -> PercolationWindow:
     """Seeded window, open i.i.d. with probability p, origin cluster by BFS.
 
-    One PCG64 stream drives the whole mask, so windows at the same seed and
-    growing p are coupled through shared uniforms: raising p only ever adds
-    open vertices, and the cluster never shrinks.
+    Cell (x, y) is open when draw x*height + y of numpy's SeedSequence(seed)
+    -> PCG64 stream of uniforms is below p, bit for bit the mask of
+    np.random.Generator(np.random.PCG64(seed)).random((width, height)) < p,
+    drawn without numpy.random. One stream drives the whole mask, so windows
+    at the same seed and growing p are coupled through shared uniforms:
+    raising p only ever adds open vertices, and the cluster never shrinks.
     """
     if width < 1 or height < 1:
         raise ValueError("window must be at least 1x1")
@@ -128,8 +226,7 @@ def percolate(width: int, height: int, p: float, seed: int) -> PercolationWindow
         raise ValueError("p must lie in [0, 1]")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    mask = rng.random((width, height)) < p
+    mask = _open_mask(width, height, p, operator.index(seed))
     ox, oy = width // 2, height // 2
 
     if not mask[ox, oy]:

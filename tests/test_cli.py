@@ -1004,6 +1004,17 @@ def test_percolation_growth_executes_no_unrelated_layer():
         assert f"'{name}'" not in executed
 
 
+def test_percolation_growth_runs_without_numpy_random_or_openssl():
+    # percolate draws numpy's PCG64 stream itself; numpy.random would load
+    # secrets -> hmac -> hashlib and so OpenSSL's _hashlib
+    argv = ["percolation", "growth", "--p", "0.9", "--size", "30", "--seed", "1", "--nmax", "6"]
+    code = (
+        "import sys, serregraph.cli; "
+        f"rc = serregraph.cli.main({argv!r}); "
+        "print(rc, [m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules])"
+    )
+    assert _run_python(code) == "0 []"
+
 def test_tracer_installs_every_binding_and_writes_spans(tmp_path):
     # perfbench/tracer.py looks each TARGETS name up by string; a deleted
     # name stops every traced benchmark job before it starts

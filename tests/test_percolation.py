@@ -16,6 +16,7 @@ from serregraph.core import (
     tree_ball,
 )
 from serregraph.percolation import (
+    _BLOCK,
     cover_sphere_sizes,
     lower_growth_estimate,
     percolate,
@@ -233,8 +234,9 @@ def test_window_argument_validation():
         percolate(0, 5, 0.5, 0)
     with pytest.raises(ValueError):
         percolate(5, 5, 1.2, 0)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        percolate(5, 5, 0.5, -1)
+    for seed in (-1, np.int64(-1), -1.5):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            percolate(5, 5, 0.5, seed)
 
 
 def test_cluster_is_connected_open_and_rooted_at_origin():
@@ -288,6 +290,70 @@ def test_monotone_coupling_in_p():
             if prev is not None:
                 assert prev <= cells
             prev = cells
+
+
+# -- the mask stream ------------------------------------------------------------
+
+
+def _numpy_uniforms(width, height, seed):
+    # the oracle: numpy's own SeedSequence -> PCG64 stream, which percolate
+    # reproduces without importing numpy.random
+    return np.random.Generator(np.random.PCG64(seed)).random((width, height))
+
+
+# word-size edges of SeedSequence's input, and the seeds the fixtures use
+STREAM_SEEDS = sorted(
+    {0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 99} | {seed for *_, seed in WINDOWS} | {7}
+)
+STREAM_SHAPES = [
+    (1, 1),
+    (1, 37),
+    (37, 1),
+    (13, 21),
+    (1, _BLOCK - 1),  # one short of a block
+    (_BLOCK, 1),  # exactly one block
+    (_BLOCK + 1, 1),  # one cell into the second block
+    (3, _BLOCK + 5),  # several blocks, the last one partial
+    (400, 400),
+]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("width,height", STREAM_SHAPES)
+def test_mask_is_numpys_pcg64_stream(width, height, seed):
+    u = _numpy_uniforms(width, height, seed)
+    for p in (0.0, 1.0, 0.9):
+        assert (percolate(width, height, p, seed).open_mask == (u < p)).all()
+    # p equal to a drawn uniform: that cell is closed under <, open under <=
+    cell = (width // 3, height // 2)
+    p = float(u[cell])
+    mask = percolate(width, height, p, seed).open_mask
+    assert (mask == (u < p)).all() and not mask[cell] and (u <= p)[cell]
+
+
+def test_seed_words_past_128_bits_are_mixed_in():
+    # SeedSequence hashes words 5 and up into the pool after the first four
+    base = 2**130 + 12345
+    for seed in (base, base + 2**160, 2**200 - 1):
+        u = _numpy_uniforms(40, 40, seed)
+        assert (percolate(40, 40, 0.5, seed).open_mask == (u < 0.5)).all()
+    assert (percolate(40, 40, 0.5, base).open_mask
+            != percolate(40, 40, 0.5, base + 2**160).open_mask).any()
+
+
+def test_numpy_integer_and_bool_seeds_draw_numpys_mask():
+    for seed in (np.int64(5), np.uint64(2**64 - 1), np.uint8(3), True, False):
+        u = _numpy_uniforms(30, 20, seed)
+        assert (percolate(30, 20, 0.5, seed).open_mask == (u < 0.5)).all()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(2.0), "3", np.True_])
+def test_non_integer_seeds_raise_type_error_as_numpy_does(seed):
+    if not isinstance(seed, str):
+        with pytest.raises(TypeError):
+            np.random.PCG64(seed)
+    with pytest.raises(TypeError):
+        percolate(5, 5, 0.5, seed)
 
 
 # -- cover spheres ------------------------------------------------------------
