@@ -12,11 +12,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows, require_regular
+from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows, reduce_word,
+                   require_regular)
 from .exact import rho_tree
-from .nullcycles import NullcycleSampler, chi_statistic, enumerate_nullcycles
+from .nullcycles import NullcycleSampler, _walks_between, chi_statistic, enumerate_nullcycles
 from .report import BoundReport, Hypothesis, report, upper
-from .treewalk import nullcycle_count
+from .treewalk import nullcycle_count, tables_for
 
 __all__ = [
     "nu_k",
@@ -129,10 +130,11 @@ def thm_main_ramanujan(
 
 
 def _closed_walks(g: SerreGraph, o: int, nk: int) -> int:
-    """Exact closed nk-walk count at o: the kernel run to its last row only."""
-    for inflow in _walk_inflows(g.nv, _edge_arrays(g), o, nk, reduced=False):
+    """Exact closed nk-walk count at o for even nk: sum over w of
+    (A^(nk/2))[o, w]^2, with row o of A^(nk/2) from the kernel's last row."""
+    for inflow in _walk_inflows(g.nv, _edge_arrays(g), o, nk // 2, reduced=False):
         pass
-    return int(inflow[o])
+    return sum(c * c for c in inflow.tolist())
 
 
 def mean_log_return(g: SerreGraph, nk: int, diag_counts) -> float:
@@ -188,19 +190,6 @@ def thm_main_returns(
 # -- the chi display and the density-to-visits step -------------------------------
 
 
-def _over_nullcycles(g: SerreGraph, root: int, n: int, stat, samples: int, seed: int,
-                     least: int) -> tuple[list, str]:
-    """stat of every length-n nullcycle at root while d^n fits EXACT_BUDGET,
-    with notes ""; otherwise stat of samples seeded uniform draws, with notes
-    naming the Monte-Carlo route. Fewer than least samples is an error."""
-    if require_regular(g) ** n <= EXACT_BUDGET:
-        return [stat(Walk(root, edges)) for edges in enumerate_nullcycles(g, root, n)], ""
-    if samples < least:
-        raise ValueError(f"samples must be >= {least}")
-    draws = NullcycleSampler(g, root, n).draws(samples, seed)
-    return [stat(w) for w in draws], f"Monte Carlo, {samples} draws, tolerance is 3 sigma"
-
-
 def thm_43_lower(
     g: SerreGraph,
     root: int,
@@ -224,8 +213,15 @@ def thm_43_lower(
     ck = float(c_k(d, k))
     closed = _closed_walks(g, root, nk)
     ncount = nullcycle_count(d, nk)
-    vals, notes = _over_nullcycles(
-        g, root, nk, lambda w: math.exp(ck * chi_statistic(g, w, k, lv) / lv), samples, seed, 2)
+    notes = ""
+    if d ** nk <= EXACT_BUDGET:
+        walks = (Walk(root, edges) for edges in enumerate_nullcycles(g, root, nk))
+    elif samples < 2:
+        raise ValueError("samples must be >= 2")
+    else:
+        walks = NullcycleSampler(g, root, nk).draws(samples, seed)
+        notes = f"Monte Carlo, {samples} draws, tolerance is 3 sigma"
+    vals = [math.exp(ck * chi_statistic(g, w, k, lv) / lv) for w in walks]
     if notes:
         mean = sum(vals) / samples
         var = sum((x - mean) ** 2 for x in vals) / (samples - 1)
@@ -244,31 +240,22 @@ def thm_43_lower(
     )
 
 
-def _segment_indicator(g: SerreGraph, w: Walk, k: int, lv: int) -> int:
-    vs = w.vertices(g)
-    if vs[k] != vs[0]:
-        return 0
-    if _unbalanced_edge(g, w.edges[:k]) is None:
-        return 0
-    visits = sum(1 for v in vs if v == vs[0])
-    return 1 if visits <= lv else 0
-
-
 def lemma_visits_lower(
-    g: SerreGraph,
-    root: int,
-    n: int,
-    k: int,
-    rho_value: float,
-    gamma_root: int,
-    *,
-    samples: int = 20000,
-    seed: int = 0,
+    g: SerreGraph, root: int, n: int, k: int, rho_value: float, gamma_root: int
 ) -> BoundReport:
     """Mean of chi_ell(w, 0, k) over uniform nullcycles of length n is at least
     gamma_root/(30 (4d-4)^k), gamma_root = gamma_k(root), ell = 6*10^8 (4d-4)^k.
 
     Hypotheses: rho_value = rho(G) <= 19/20 and 2k+2 <= n <= sqrt|G|.
+
+    The left side is exact. A walk of length n visits the root at most
+    n + 1 < ell times, so chi_ell(w, 0, k) = 1 exactly when w opens with an
+    unbalanced closed k-walk c at the root. The tree T_d has u[n-k][j]
+    (n-k)-walks back to its root from distance j, so u[n-k][|c reduced|]
+    nullcycles open with c, and the mean is the sum of those counts over the
+    unbalanced closed k-walks c, divided by |N_n| = u[n][0]; it is 0 when
+    n < k. The closed k-walks are enumerated, at most
+    nullcycles.WALK_BUDGET prefixes.
     """
     d = require_regular(g)
     _check_dk(d, k)
@@ -280,18 +267,19 @@ def lemma_visits_lower(
         "2k+2 <= n <= sqrt|G|", 2 * k + 2 <= n <= math.isqrt(g.nv), f"n={n}, |G|={g.nv}"
     )
     rhs = gamma_root / (30.0 * (4 * d - 4) ** k)
-    hits, notes = _over_nullcycles(
-        g, root, n, lambda w: _segment_indicator(g, w, k, lv), samples, seed, 1)
-    lhs = sum(hits) / len(hits)
-    tol = 3.0 * math.sqrt(max(lhs * (1 - lhs), 1e-12) / samples) if notes else 1e-12
+    lhs = 0.0
+    if n >= k:
+        u = tables_for(d, n).u
+        hits = sum(u[n - k][len(reduce_word(g, c))] for c in _walks_between(g, root, root, k)
+                   if _unbalanced_edge(g, c) is not None)
+        lhs = hits / u[n][0]
     return report(
         f"density-to-visits n={n} k={k}",
         lhs=lhs,
         rhs=rhs,
         hypotheses=(rho_ok, n_ok),
         constants={"gamma_k(root)": gamma_root, "ell": lv},
-        tolerance=tol,
-        notes=notes,
+        tolerance=1e-12,
     )
 
 

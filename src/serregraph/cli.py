@@ -315,12 +315,12 @@ def _girth_report(g: SerreGraph) -> BoundReport:
 
 
 def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma, gamma_root):
+    nn = n if n is not None else 4  # the returns and chi length
     if suite == "main":
         return [(k, bounds.thm_main_finite(g, k, rho(), gamma(k))) for k in ks]
     if suite == "ramanujan":
         return [(k, bounds.thm_main_ramanujan(g, k, rho(), gamma(k))) for k in ks]
     if suite == "returns":
-        nn = n if n is not None else 4
         ts = {nn * k // 2 for k in ks if nn * k > 0 and nn * k % 2 == 0}
         diag = spectral.diag_power_counts_batch(g, ts) if ts else {}
         out = []
@@ -330,7 +330,6 @@ def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma, 
             out.append((k, bounds.thm_main_returns(g, nn, k, gam, diag.get(nn * k // 2))))
         return out
     if suite == "chi":
-        nn = n if n is not None else 4
         return [
             (k, bounds.thm_43_lower(g, 0, nn, k, samples=samples, seed=seed))
             for k in ks
@@ -338,7 +337,7 @@ def _suite_reports(g: SerreGraph, suite: str, ks, n, samples, seed, rho, gamma, 
     if suite == "visits":
         return [
             (k, bounds.lemma_visits_lower(g, 0, 2 * k + 2 if n is None else n, k, rho(),
-                                          gamma_root(k), samples=samples, seed=seed))
+                                          gamma_root(k)))
             for k in ks
         ]
     return [(0, _girth_report(g))]

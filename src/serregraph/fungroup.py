@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, reduce_word, require_regular
 from .exact import rho_tree
+from .nullcycles import _walks_between
 from .report import BoundReport, BoundViolation, Hypothesis, report
 from .treewalk import return_probability, tables_for
 
@@ -36,10 +37,8 @@ __all__ = [
 # p_k_distribution stops iterating in n once consecutive finite-n marginals
 # are this close in total variation
 TV_TOL = Fraction(1, 10 ** 8)
-# kappa_estimate truncates its word DP past STATE_BUDGET reduced words, and
-# walk sets are enumerated up to WALK_BUDGET prefixes
+# kappa_estimate truncates its word DP past STATE_BUDGET reduced words
 STATE_BUDGET = 200_000
-WALK_BUDGET = 2 * 10 ** 6
 
 
 def homotopy_class(g: SerreGraph, walk: Walk) -> tuple[int, ...]:
@@ -62,27 +61,6 @@ def _word_mul(g: SerreGraph, a, b) -> tuple[int, ...]:
         i -= 1
         j += 1
     return tuple(a[: i + 1]) + tuple(b[j:])
-
-
-def _walks_between(g: SerreGraph, x: int, y: int, k: int) -> list[tuple[int, ...]]:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    dst = g.dst
-    out = []
-    stack = [(x, ())]
-    seen = 0
-    while stack:
-        v, prefix = stack.pop()
-        if len(prefix) == k:
-            if v == y:
-                out.append(prefix)
-            continue
-        for e in g.out_edges(v):
-            seen += 1
-            if seen > WALK_BUDGET:
-                raise ValueError(f"more than {WALK_BUDGET} walk prefixes of length {k}")
-            stack.append((dst[e], prefix + (e,)))
-    return out
 
 
 def _flog(p) -> float:
@@ -441,10 +419,14 @@ def lemma_basic_check(g: SerreGraph, o: int, x: int, w_path, k: int) -> BoundRep
             raise ValueError("w_path must run from x to o")
     elif x != o:
         raise ValueError("empty w_path requires x == o")
-    W = _walks_between(g, o, x, k)
-    est = kappa_estimate(g, o, x, k, mmax=6)
-    closed_null = sum(1 for w in W if reduce_word(g, w + w_path) == ())
-    lhs_mid = len(W) * est.last
+    est = kappa_estimate(g, o, x, k, mmax=6)  # the one enumeration of W_k(o,x)
+    *_, into = _walk_inflows(g.nv, _edge_arrays(g), o, k, reduced=False)
+    size = int(into[x])
+    # w w_path is nullhomotopic iff the lift of w from o ends at the lift of
+    # reversed w_path, j = |w_path reduced| tree steps away: u[k][j] walks on T_d
+    j = len(reduce_word(g, w_path))
+    closed_null = tables_for(d, 2 * k).u[k][j] if j <= k else 0
+    lhs_mid = size * est.last
     bound = (d * rho_tree(d)) ** (k + len(w_path))
     left_ok = closed_null <= lhs_mid + 1e-12
     return report(
@@ -452,7 +434,7 @@ def lemma_basic_check(g: SerreGraph, o: int, x: int, w_path, k: int) -> BoundRep
         lhs=bound,
         rhs=lhs_mid,
         constants={
-            "|W_k|": len(W),
+            "|W_k|": size,
             "kappa_hat": est.last,
             "m": est.achieved_m,
             "nullhomotopic closures": closed_null,

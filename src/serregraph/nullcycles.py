@@ -13,12 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows,
                    require_regular)
 from .report import BoundReport, BoundViolation, Hypothesis, upper
 from .treewalk import bridge_distance_distribution, tables_for
+
+# walk sets are enumerated up to WALK_BUDGET prefixes
+WALK_BUDGET = 2 * 10 ** 6
 
 
 # -- classification ----------------------------------------------------------
@@ -67,6 +68,30 @@ def enumerate_nullcycles(g: SerreGraph, root: int, n: int) -> list[tuple[int, ..
 
     rec(root, [], [])
     return res
+
+
+def _walks_between(g: SerreGraph, x: int, y: int, k: int) -> list[tuple[int, ...]]:
+    """All length-k walks from x to y, as edge-id tuples; more than
+    WALK_BUDGET prefixes raise."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    dst = g.dst
+    out = []
+    stack = [(x, ())]
+    seen = 0
+    while stack:
+        v, prefix = stack.pop()
+        if len(prefix) == k:
+            if v == y:
+                out.append(prefix)
+            continue
+        for e in g.out_edges(v):
+            seen += 1
+            if seen > WALK_BUDGET:
+                raise ValueError(f"more than nullcycles.WALK_BUDGET = {WALK_BUDGET} walk "
+                                 f"prefixes of length {k}")
+            stack.append((dst[e], prefix + (e,)))
+    return out
 
 
 # -- exact-uniform sampler ---------------------------------------------------
@@ -337,21 +362,19 @@ def _even_part_count(n: int, parts) -> int:
 @dataclass
 class ParityPartitionResult:
     probability: float
-    exact: Fraction | None
-    stderr: float | None
+    exact: Fraction
     bound: float
     n_parts: int
     max_part: int
 
 
-def parity_partition_probability(
-    n: int, parts, samples: int = 200000, seed: int = 0
-) -> ParityPartitionResult:
+def parity_partition_probability(n: int, parts) -> ParityPartitionResult:
     """P(every part-sum of X is even) for X uniform over compositions of n.
 
-    Exact enumeration when the composition count is at most 10^7, Monte Carlo
-    with reported standard error otherwise. The 14 exp(-(m ^ n/l)/14) cap is
-    asserted, with 3 sigma slack in the sampled case.
+    Exact: the count of compositions whose part-sums are all even, from the
+    convolution of _even_part_count (O(m n^2) big-int steps for m parts, no
+    composition enumerated), over the C(n+k-1, k-1) compositions of n into k
+    entries. The 14 exp(-(m ^ n/l)/14) cap is asserted.
     """
     parts = [tuple(p) for p in parts]
     if not parts or any(not p for p in parts):
@@ -365,41 +388,8 @@ def parity_partition_probability(
     m = len(parts)
     ell = max(len(p) for p in parts)
     bound = 14.0 * math.exp(-min(m, n / ell) / 14.0)
-    ncomp = math.comb(n + k - 1, k - 1)
-    if ncomp <= 10 ** 7:
-        p = Fraction(_even_part_count(n, parts), ncomp)
-        if float(p) > bound:
-            raise BoundViolation(f"partition parity mass {p} exceeds cap {bound}")
-        return ParityPartitionResult(
-            probability=float(p), exact=p, stderr=None, bound=bound,
-            n_parts=m, max_part=ell,
-        )
-    rng = np.random.default_rng(seed)
-    # uniform composition = gaps between a uniform (k-1)-subset of n+k-1 slots
-    hits = 0
-    batch = 20000
-    done = 0
-    want = samples
-    part_masks = [np.array(p, dtype=np.int64) for p in parts]
-    while done < want:
-        b = min(batch, want - done)
-        U = rng.random((b, n + k - 1))
-        cuts = np.sort(np.argpartition(U, k - 2, axis=1)[:, : k - 1], axis=1)
-        bounds = np.concatenate(
-            [np.full((b, 1), -1, dtype=np.int64), cuts,
-             np.full((b, 1), n + k - 1, dtype=np.int64)], axis=1
-        )
-        entries = np.diff(bounds, axis=1) - 1  # (b, k), sums to n
-        ok = np.ones(b, dtype=bool)
-        for mask in part_masks:
-            ok &= entries[:, mask].sum(axis=1) % 2 == 0
-        hits += int(ok.sum())
-        done += b
-    phat = hits / want
-    se = math.sqrt(max(phat * (1 - phat), 1e-12) / want)
-    if phat - 3 * se > bound:
-        raise BoundViolation(f"partition parity estimate {phat} exceeds cap {bound}")
-    return ParityPartitionResult(
-        probability=phat, exact=None, stderr=se, bound=bound,
-        n_parts=m, max_part=ell,
-    )
+    p = Fraction(_even_part_count(n, parts), math.comb(n + k - 1, k - 1))
+    if float(p) > bound:
+        raise BoundViolation(f"partition parity mass {p} exceeds cap {bound}")
+    return ParityPartitionResult(probability=float(p), exact=p, bound=bound, n_parts=m,
+                                 max_part=ell)

@@ -332,11 +332,19 @@ def test_parity_closed_form_matches_enumeration_and_caps():
         grid.append((n, parts))
     assert len(grid) == 20
     for n, parts in grid:
-        res = parity_partition_probability(n, parts, samples=100_000, seed=7)
-        assert res.exact is None, "grid case small enough to enumerate"
-        slack = res.probability - 3.0 * (res.stderr or 0.0)
-        assert slack <= res.bound, (n, parts, res.probability, res.bound)
-    print("PASS: parity closed form == enumeration (n<=12, k<=6); 20 MC cases under cap, 3 sigma")
+        k = sum(len(p) for p in parts)
+        assert math.comb(n + k - 1, k - 1) > 10 ** 7, "grid case small enough to enumerate"
+        # the closed form summed over the parity patterns with every part-sum
+        # even, grouped by their number of odd entries
+        odd = Counter(
+            sum(x) for x in itertools.product((0, 1), repeat=k)
+            if all(sum(x[i] for i in p) % 2 == 0 for p in parts)
+        )
+        want = sum(c * parity_probability(n, k, (1,) * j + (0,) * (k - j)) for j, c in odd.items())
+        res = parity_partition_probability(n, parts)
+        assert res.exact == want, (n, parts)
+        assert res.probability <= res.bound, (n, parts, res.probability, res.bound)
+    print("PASS: parity closed form == enumeration (n<=12, k<=6); 20 exact cases under cap")
 
 
 # -- 8: the finite-size rho and return inequalities on random regular fleets ---

@@ -177,11 +177,9 @@ def test_returns_rejects_n_below_one():
 
 
 def test_monte_carlo_checks_reject_too_few_samples():
-    g = petersen()  # 3^30 and 3^20 walks: both checks sample
+    g = petersen()  # 3^30 walks: the chi check samples
     with pytest.raises(ValueError, match="samples must be >= 2"):
         bounds.thm_43_lower(g, 0, 30, 1, samples=1)
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        bounds.lemma_visits_lower(g, 0, 20, 2, 0.5, gamma_k(g, 0, 2), samples=0)
 
 
 def test_mean_log_return_rejects_odd():

@@ -288,7 +288,8 @@ GIRTH_CFG3_64 = (
 )
 
 
-# frozen stdout of the chi and visits suites: 250 seeded draws per chi row
+# frozen stdout of the chi and visits suites: 250 seeded draws per chi row,
+# and exact visits rows (root 0 has no nontrivial closed 2- or 3-walk)
 WALKS_CFG3_256 = (
     "suite,k,name,verdict,lhs,rhs,margin,tolerance,failed_hypotheses,notes\n"
     "chi,2,chi-exp-lower n=200 k=2,pass,2.7558902768207063e+188,3.336140306957318e+176,"
@@ -296,10 +297,8 @@ WALKS_CFG3_256 = (
     "chi,3,chi-exp-lower n=200 k=3,pass,7.320030093299977e+283,3.772369572417248e+266,"
     "7.320030093299977e+283,1.7927344137130648e+253,,"
     "Monte Carlo; 250 draws; tolerance is 3 sigma\n"
-    "visits,2,density-to-visits n=200 k=2,not applicable,0.0,0.0,0.0,1.8973665961010275e-07,"
-    "2k+2 <= n <= sqrt|G|,Monte Carlo; 250 draws; tolerance is 3 sigma\n"
-    "visits,3,density-to-visits n=200 k=3,not applicable,0.0,0.0,0.0,1.8973665961010275e-07,"
-    "2k+2 <= n <= sqrt|G|,Monte Carlo; 250 draws; tolerance is 3 sigma\n"
+    "visits,2,density-to-visits n=200 k=2,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
+    "visits,3,density-to-visits n=200 k=3,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
 )
 
 
@@ -333,6 +332,17 @@ def test_bounds_exact_walks_output_is_pinned(pet_path, capsys):
     assert main(args) == 0
     out = capsys.readouterr()
     assert out.out == WALKS_PETERSEN_EXACT and out.err == ""
+
+
+def test_bounds_visits_row_below_one_segment(pet_path, capsys):
+    # n = 2 < k = 3: no length-k segment, so chi is 0 on every nullcycle
+    args = ["bounds", "verify", "--in", pet_path, "--suite", "visits", "--k", "3", "--n", "2"]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines()[1] == (
+        "visits,3,density-to-visits n=2 k=3,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,"
+    )
 
 
 def test_bounds_girth_output_is_pinned(tmp_path, capsys):
@@ -443,7 +453,7 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
     direct = {
         "chi": lambda k: bounds.thm_43_lower(g, 0, 4, k, samples=200, seed=0),
         "visits": lambda k: bounds.lemma_visits_lower(
-            g, 0, 2 * k + 2, k, rho, census.gamma_k(g, 0, k), samples=200, seed=0
+            g, 0, 2 * k + 2, k, rho, census.gamma_k(g, 0, k)
         ),
     }
     assert [(r["suite"], r["k"]) for r in rows] == [(s, str(k)) for s in direct for k in (2, 3)]
@@ -484,8 +494,8 @@ def test_bounds_returns_past_the_float64_window(tmp_path, capsys):
         (["bounds", "verify", "--suite", "returns", "--n", "-2"], "n must be >= 1"),
         (["bounds", "verify", "--suite", "chi", "--n", "30", "--k", "1", "--samples", "1"],
          "samples must be >= 2"),
-        (["bounds", "verify", "--suite", "visits", "--n", "20", "--k", "2", "--samples", "0"],
-         "samples must be >= 1"),
+        (["bounds", "verify", "--suite", "visits", "--n", "5", "--k", "2"],
+         "n must be positive and even"),
         (["census", "--k", "3", "--mc", "--samples", "0"], "samples must be >= 1"),
         (["kappa", "--x", "0", "--y", "0", "--k", "2", "--mmax", "2", "--method", "mc",
           "--samples", "0"],
@@ -493,7 +503,7 @@ def test_bounds_returns_past_the_float64_window(tmp_path, capsys):
         (["nullcycle", "sample", "--root", "0", "--n", "4", "--stats", "chi:k=0:l=1"],
          "k must be >= 1"),
     ],
-    ids=["returns-n0", "returns-n-2", "chi-samples1", "visits-samples0", "census-mc-samples0",
+    ids=["returns-n0", "returns-n-2", "chi-samples1", "visits-n-odd", "census-mc-samples0",
          "kappa-mc-samples0", "chi-stat-k0"],
 )
 def test_parameter_errors_name_the_parameter(pet_path, argv, message, capsys):
@@ -965,7 +975,7 @@ def test_defaulted_parameter_count_stays_within_budget():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
-    assert count <= 46, count
+    assert count <= 42, count
 
 
 def test_cli_import_registers_every_traced_layer_and_runs_without_openssl(tmp_path):

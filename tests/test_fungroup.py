@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from serregraph import fungroup
+from serregraph import fungroup, nullcycles
 from serregraph.core import (
     Walk,
     complete_graph,
@@ -51,18 +51,22 @@ def _erase_to_fixed_point(g, word):
     return tuple(w)
 
 
-def _closed_walks(g, v, k):
+def _walks_from(g, v, k):
+    """Every k-walk from v, as (edges, end vertex)."""
     out = []
     stack = [(v, ())]
     while stack:
         u, prefix = stack.pop()
         if len(prefix) == k:
-            if u == v:
-                out.append(prefix)
+            out.append((prefix, u))
             continue
         for e in g.out_edges(u):
             stack.append((g.dst[e], prefix + (e,)))
     return out
+
+
+def _closed_walks(g, v, k):
+    return [w for w, end in _walks_from(g, v, k) if end == v]
 
 
 # -- reduced words ------------------------------------------------------------
@@ -263,7 +267,7 @@ def test_no_walks_between_adjacent_petersen_vertices():
 
 
 def test_walk_budget_raises(monkeypatch):
-    monkeypatch.setattr(fungroup, "WALK_BUDGET", 5)
+    monkeypatch.setattr(nullcycles, "WALK_BUDGET", 5)
     with pytest.raises(ValueError):
         kappa_estimate(complete_graph(4), 0, 0, 3, 1)
 
@@ -464,6 +468,30 @@ def test_norm_chain_without_walks_names_the_pair():
     e10 = next(e for e in range(g.ne) if g.src[e] == 1 and g.dst[e] == 0)
     with pytest.raises(ValueError, match="no walks of length 2 from 0 to 1"):
         lemma_basic_check(g, 0, 1, (e10,), 2)
+
+
+def test_norm_chain_counts_match_the_enumerated_walk_set(monkeypatch):
+    # |W_k| comes from the walk kernel and the closures from the tree table;
+    # brute force erases every w w_path for w in W_k(o, x). Neither count
+    # reads the norm estimate, so one pair step of it is enough here
+    estimate = fungroup.kappa_estimate
+    monkeypatch.setattr(fungroup, "kappa_estimate",
+                        lambda g, x, y, k, mmax: estimate(g, x, y, k, 1))
+    for g in (complete_graph(4), petersen(), rose(2), half_loop_rose(3)):
+        for q in [()] + [(e,) for e in g.out_edges(0)] + [
+            (e, f) for e in g.out_edges(0) for f in g.out_edges(g.dst[e])
+        ]:
+            x = Walk(0, q).vertices(g)[-1]
+            w_path = tuple(g.inv[e] for e in reversed(q))
+            for k in (2, 3):
+                walks = [w for w, end in _walks_from(g, 0, k) if end == x]
+                if not walks:
+                    continue
+                rep = lemma_basic_check(g, 0, x, w_path, k)
+                assert rep.constants["|W_k|"] == len(walks)
+                assert rep.constants["nullhomotopic closures"] == sum(
+                    _erase_to_fixed_point(g, w + w_path) == () for w in walks
+                ), (g.name, q, k)
 
 
 def test_trivial_group_walk_bound_is_exact():

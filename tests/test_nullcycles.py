@@ -3,15 +3,19 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from serregraph import bounds
 from serregraph import nullcycles as nc
 from serregraph import treewalk as tw
+from serregraph.census import gamma_k
 from serregraph.core import (
     Walk,
+    _unbalanced_edge,
     complete_graph,
     cycle_graph,
     half_loop_rose,
@@ -318,8 +322,6 @@ def _chi_reference(g, walk, k, ell):
 
 
 def test_chi_equals_the_segment_walking_definition():
-    from serregraph.bounds import _segment_indicator
-
     graphs = [half_loop_rose(3), rose(2), split_full_loops(rose(2)), schreier_triangle(),
               complete_graph(4)]
     graphs += [configuration_model(d, 16, seed=s) for d in (3, 4) for s in (0, 1)]
@@ -332,11 +334,52 @@ def test_chi_equals_the_segment_walking_definition():
                         want = _chi_reference(g, w, k, ell)
                         assert nc.chi_statistic(g, w, k, ell) == want, (g.name, w, k, ell)
                         nontrivial += want
-                    head = Walk(0, w.edges[:k])
-                    assert _segment_indicator(g, w, k, 10 ** 9) == _chi_reference(
-                        g, head, k, 10 ** 9
-                    )
     assert nontrivial > 0
+
+
+def _visits_lhs(g, n, k):
+    return bounds.lemma_visits_lower(g, 0, n, k, 0.5, 0).lhs
+
+
+def test_visits_lhs_is_the_enumerated_mean_of_the_head_segment():
+    # chi_ell(w, 0, k) for ell past n + 1 is chi of the walk's first k steps
+    graphs = [half_loop_rose(3), rose(2), split_full_loops(rose(2)), complete_graph(4)]
+    graphs += [configuration_model(3, 16, seed=s) for s in (0, 1)]
+    for g in graphs:
+        for n in (4, 6, 8, 10, 12):
+            walks = nc.enumerate_nullcycles(g, 0, n)
+            for k in (k for k in (1, 2, 3) if n in (2 * k + 2, 2 * k + 4, 12)):
+                # each distinct head once, weighted by the walks that open with it
+                heads = Counter(edges[:k] for edges in walks)
+                hits = sum(c * _chi_reference(g, Walk(0, h), k, 10 ** 9) for h, c in heads.items())
+                assert _visits_lhs(g, n, k) == hits / len(walks), (g.name, n, k)
+
+
+def test_visits_lhs_agrees_with_sampled_nullcycles_past_the_budget():
+    g, n, k, draws = complete_graph(4), 20, 3, 20_000
+    assert 3 ** n > bounds.EXACT_BUDGET
+    hits = sum(_chi_reference(g, Walk(0, w.edges[:k]), k, 10 ** 9)
+               for w in nc.NullcycleSampler(g, 0, n).draws(draws, seed=0))
+    mean = hits / draws
+    exact = _visits_lhs(g, n, k)
+    assert abs(exact - 0.150639) < 5e-7
+    assert abs(mean - exact) <= 3 * math.sqrt(exact * (1 - exact) / draws), mean
+
+
+def test_unbalanced_closed_walks_are_gamma_k():
+    graphs = [half_loop_rose(3), rose(2), split_full_loops(rose(2)), complete_graph(4),
+              petersen(), configuration_model(3, 16, seed=0)]
+    for g in graphs:
+        for k in (1, 2, 3, 4):
+            walks = nc._walks_between(g, 0, 0, k)
+            unbalanced = [c for c in walks if _unbalanced_edge(g, c) is not None]
+            assert len(unbalanced) == gamma_k(g, 0, k), (g.name, k)
+
+
+def test_walk_budget_stops_the_visits_enumeration(monkeypatch):
+    monkeypatch.setattr(nc, "WALK_BUDGET", 5)
+    with pytest.raises(ValueError, match="nullcycles.WALK_BUDGET = 5"):
+        _visits_lhs(complete_graph(4), 8, 3)
 
 
 def test_segment_rate_same_at_every_offset():
@@ -477,7 +520,7 @@ def test_partition_exact_route():
         for parts in ([(0,), (1,), (2,)], [(0, 1), (2, 3)], [(0, 2), (1,), (3,)]):
             res = nc.parity_partition_probability(n, parts)
             assert res.exact == brute_partition(n, parts)
-            assert res.stderr is None
+            assert res.probability == float(res.exact)
 
 
 def test_partition_singletons_reduce_to_all_even():
@@ -487,14 +530,28 @@ def test_partition_singletons_reduce_to_all_even():
             assert res.exact == nc.parity_probability(n, k, (0,) * k)
 
 
-def test_partition_mc_route_matches_exact_dp():
+def even_pattern_probability(n, parts):
+    """P(every part-sum even) from the closed form: sum over the 0/1 parity
+    patterns with an even count in every part, grouped by their count j of
+    odd entries (coefficient j of the product of the parts' even halves of
+    (1 + t)^s), of parity_probability at one pattern with j odd entries."""
+    k = sum(len(p) for p in parts)
+    counts = [1]
+    for p in parts:
+        even = [math.comb(len(p), j) if j % 2 == 0 else 0 for j in range(len(p) + 1)]
+        counts = [sum(c * even[j - i] for i, c in enumerate(counts) if 0 <= j - i < len(even))
+                  for j in range(len(counts) + len(even) - 1)]
+    return sum(c * nc.parity_probability(n, k, (1,) * j + (0,) * (k - j))
+               for j, c in enumerate(counts) if c)
+
+
+def test_partition_large_n_matches_parity_patterns():
     parts = [tuple(range(4 * i, 4 * i + 4)) for i in range(5)]  # k=20, l=4, m=5
     n = 100
     assert math.comb(n + 19, 19) > 10 ** 7
-    res = nc.parity_partition_probability(n, parts, samples=60000, seed=11)
-    assert res.exact is None and res.stderr is not None and res.stderr > 0
-    truth = Fraction(nc._even_part_count(n, parts), math.comb(n + 19, 19))
-    assert abs(res.probability - float(truth)) <= 4 * res.stderr
+    res = nc.parity_partition_probability(n, parts)
+    assert res.exact == even_pattern_probability(n, parts)
+    assert res.probability == float(res.exact)
     assert res.probability <= res.bound
     assert res.bound == pytest.approx(14.0 * math.exp(-5 / 14))
 

@@ -111,7 +111,7 @@ TRACER_MODULES = {"patterns"}
 
 # total lines of the functions no command reaches (AST spans, decorator lines
 # included); lower it when a change deletes or reaches some of them
-UNREACHED_LINE_CEILING = 1162
+UNREACHED_LINE_CEILING = 1132
 
 # -- the profiled run -------------------------------------------------------------
 
