@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows, reduce_word,
-                   require_regular)
+from .core import SerreGraph, require_regular
 from .exact import rho_tree
-from .nullcycles import NullcycleSampler, _walks_between, chi_statistic, enumerate_nullcycles
+from .nullcycles import _unbalanced_loops
 from .report import BoundReport, Hypothesis, report, upper
 from .treewalk import nullcycle_count, tables_for
 
@@ -34,10 +33,6 @@ __all__ = [
     "EssGirthBound",
     "ess_girth_bound",
 ]
-
-# walk counts d^n up to this are enumerated exactly; above it, sampled
-EXACT_BUDGET = 2 * 10 ** 6
-
 
 def nu_k(d: int, k: int) -> int:
     """2*10^11 * 2^(4k) * (d-1)^(3k) * k, exact."""
@@ -129,14 +124,6 @@ def thm_main_ramanujan(
     )
 
 
-def _closed_walks(g: SerreGraph, o: int, nk: int) -> int:
-    """Exact closed nk-walk count at o for even nk: sum over w of
-    (A^(nk/2))[o, w]^2, with row o of A^(nk/2) from the kernel's last row."""
-    for inflow in _walk_inflows(g.nv, _edge_arrays(g), o, nk // 2, reduced=False):
-        pass
-    return sum(c * c for c in inflow.tolist())
-
-
 def mean_log_return(g: SerreGraph, nk: int, diag_counts) -> float:
     """Average over vertices of log p_nk(o,o) from the exact closed nk-walk
     counts diag_counts, one per vertex."""
@@ -190,19 +177,19 @@ def thm_main_returns(
 # -- the chi display and the density-to-visits step -------------------------------
 
 
-def thm_43_lower(
-    g: SerreGraph,
-    root: int,
-    n: int,
-    k: int,
-    *,
-    samples: int = 20000,
-    seed: int = 0,
-) -> BoundReport:
-    """#closed nk-walks at root >= (1/14) sum over nullcycles of exp(c_k chi/ell).
+def thm_43_lower(g: SerreGraph, n: int, k: int, moment) -> BoundReport:
+    """#closed nk-walks at the root >= (1/14) sum over nullcycles w of exp(c_k chi(w)/ell).
 
-    Exact enumeration when d^(nk) fits the budget, otherwise a seeded
-    Monte-Carlo average over uniform nullcycles with a 3-sigma tolerance.
+    moment is nullcycles.chi_moments' pair for this k: the closed nk-walk
+    count at the root and the sum of chi over the |N_nk| nullcycles there,
+    both exact. chi ignores its visit cap only while no vertex can be
+    visited more than ell times; a walk has nk + 1 visits, so nk + 1 > ell
+    raises. With t = c_k/ell and chi <= n, each exp(t chi) is
+    1 + t chi + R_w with 0 <= R_w <= (tn)^2 e^(tn)/2, so the right side is
+    (|N_nk| + t sum chi)/14 up to R <= |N_nk| (tn)^2 e^(tn)/28, which the
+    tolerance carries with a 1e-9 relative allowance for rounding. No walk
+    is drawn or enumerated. An odd nk is a parity error, raised before
+    moment is read.
     """
     d = require_regular(g)
     _check_dk(d, k)
@@ -210,33 +197,20 @@ def thm_43_lower(
     if nk % 2 or nk <= 0:
         raise ValueError("nk must be positive and even")
     lv = ell(d, k)
-    ck = float(c_k(d, k))
-    closed = _closed_walks(g, root, nk)
+    if nk + 1 > lv:
+        raise ValueError(f"nk + 1 = {nk + 1} visits exceed ell = {lv}: chi would cap them")
+    closed, chi_total = moment
     ncount = nullcycle_count(d, nk)
-    notes = ""
-    if d ** nk <= EXACT_BUDGET:
-        walks = (Walk(root, edges) for edges in enumerate_nullcycles(g, root, nk))
-    elif samples < 2:
-        raise ValueError("samples must be >= 2")
-    else:
-        walks = NullcycleSampler(g, root, nk).draws(samples, seed)
-        notes = f"Monte Carlo, {samples} draws, tolerance is 3 sigma"
-    vals = [math.exp(ck * chi_statistic(g, w, k, lv) / lv) for w in walks]
-    if notes:
-        mean = sum(vals) / samples
-        var = sum((x - mean) ** 2 for x in vals) / (samples - 1)
-        rhs = float(ncount) * mean / 14.0
-        tol = float(ncount) * 3.0 * math.sqrt(var / samples) / 14.0
-    else:
-        rhs = sum(vals) / 14.0
-        tol = 1e-9 * (1.0 + abs(rhs))
+    t = c_k(d, k) / lv
+    rhs = float((ncount + t * chi_total) / 14)
+    tn = float(t * n)
+    rest = float(ncount) * tn * tn * math.exp(tn) / 28.0
     return report(
         f"chi-exp-lower n={n} k={k}",
         lhs=float(closed),
         rhs=rhs,
         constants={"c_k": c_k(d, k), "ell": lv, "|N_nk|": int(ncount)},
-        tolerance=tol,
-        notes=notes,
+        tolerance=rest + 1e-9 * (1.0 + abs(rhs)),
     )
 
 
@@ -254,7 +228,8 @@ def lemma_visits_lower(
     (n-k)-walks back to its root from distance j, so u[n-k][|c reduced|]
     nullcycles open with c, and the mean is the sum of those counts over the
     unbalanced closed k-walks c, divided by |N_n| = u[n][0]; it is 0 when
-    n < k. The closed k-walks are enumerated, at most
+    n < k. That sum is the j = 0, root-only term of nullcycles.chi_moments,
+    and the same helper enumerates the walks c, at most
     nullcycles.WALK_BUDGET prefixes.
     """
     d = require_regular(g)
@@ -270,8 +245,7 @@ def lemma_visits_lower(
     lhs = 0.0
     if n >= k:
         u = tables_for(d, n).u
-        hits = sum(u[n - k][len(reduce_word(g, c))] for c in _walks_between(g, root, root, k)
-                   if _unbalanced_edge(g, c) is not None)
+        hits = sum(u[n - k][len(word)] for word in _unbalanced_loops(g, root, k))
         lhs = hits / u[n][0]
     return report(
         f"density-to-visits n={n} k={k}",

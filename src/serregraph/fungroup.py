@@ -120,6 +120,43 @@ def _radial_rank(g: SerreGraph, walks) -> int | None:
     return len(letters) if len(letters) >= 2 else None
 
 
+def _word_dp(g: SerreGraph, step_p, max_len: int, m: int) -> list[Fraction]:
+    """p_2j for j = 1..m, exact, from 2m pair steps on reduced words. A word
+    longer than (2m - step) max_len cannot return by step 2m, nor by any
+    earlier even step, so it is dropped; the pass stops before the first
+    step that keeps more than STATE_BUDGET words."""
+    state = {(): Fraction(1)}
+    p_even: list[Fraction] = []
+    for step in range(1, 2 * m + 1):
+        new: dict[tuple[int, ...], Fraction] = {}
+        cap = (2 * m - step) * max_len
+        if cap == 0:
+            # only the identity can still return: lone inverse lookup
+            total = Fraction(0)
+            for word, pr in state.items():
+                q = step_p.get(_word_inv(g, word))
+                if q is not None:
+                    total += pr * q
+            new[()] = total
+        else:
+            for word, pr in state.items():
+                if len(word) - max_len > cap:
+                    continue
+                for a, q in step_p.items():
+                    w2 = _word_mul(g, word, a)
+                    if len(w2) > cap:
+                        continue
+                    new[w2] = new.get(w2, Fraction(0)) + pr * q
+                if len(new) > STATE_BUDGET:
+                    break  # the step is discarded below, so stop building it
+        if len(new) > STATE_BUDGET:
+            break
+        state = new
+        if step % 2 == 0:
+            p_even.append(state.get((), Fraction(0)))
+    return p_even
+
+
 def kappa_estimate(
     g: SerreGraph,
     x: int,
@@ -144,9 +181,10 @@ def kappa_estimate(
     method "auto" uses exact tree tables when the reduced walk set is a
     free symmetric letter set (loop bouquets), otherwise an exact rational
     DP over reduced words. State blowup past STATE_BUDGET truncates the
-    sequence at the achieved m, or raises naming method "mc" if m = 1 does
-    not fit. method "mc" runs a seeded sampler instead; its kappa values
-    carry stderr and no exactness.
+    sequence at the largest m whose own pass fits, which never falls as mmax
+    grows, or raises naming method "mc" if m = 1 does not fit. method "mc"
+    runs a seeded sampler instead; its kappa values carry stderr and no
+    exactness.
     """
     if mmax < 1:
         raise ValueError("mmax must be >= 1")
@@ -220,37 +258,16 @@ def kappa_estimate(
     step_p = {w: Fraction(c, nw * nw) for w, c in alphabet.items()}
     max_len = max((len(w) for w in step_p), default=0)
 
-    state = {(): Fraction(1)}
-    p_even: list[Fraction] = []
-    truncated = False
-    for step in range(1, 2 * mmax + 1):
-        new: dict[tuple[int, ...], Fraction] = {}
-        cap = (2 * mmax - step) * max_len
-        if cap == 0:
-            # only the identity can still return: lone inverse lookup
-            total = Fraction(0)
-            for word, pr in state.items():
-                q = step_p.get(_word_inv(g, word))
-                if q is not None:
-                    total += pr * q
-            new[()] = total
-        else:
-            for word, pr in state.items():
-                if len(word) - max_len > cap:
-                    continue
-                for a, q in step_p.items():
-                    w2 = _word_mul(g, word, a)
-                    if len(w2) > cap:
-                        continue
-                    new[w2] = new.get(w2, Fraction(0)) + pr * q
-                if len(new) > STATE_BUDGET:
-                    break  # the step is discarded below, so stop building it
-        if len(new) > STATE_BUDGET:
-            truncated = True
+    p_even = _word_dp(g, step_p, max_len, mmax)
+    # a pass capped for a smaller m keeps fewer words; raise m from what the
+    # long pass reached until a pass overflows, so the m reached never falls
+    # as mmax grows
+    while len(p_even) < mmax:
+        more = _word_dp(g, step_p, max_len, len(p_even) + 1)
+        if len(more) <= len(p_even):
             break
-        state = new
-        if step % 2 == 0:
-            p_even.append(state.get((), Fraction(0)))
+        p_even = more
+    truncated = len(p_even) < mmax
     kap = [math.exp(_flog(pm) / (4 * m)) for m, pm in enumerate(p_even, start=1)]
     est = KappaEstimate(
         x, y, k, p_even, kap, "word-dp", truncated=truncated,

@@ -3,18 +3,23 @@
 Equivalently, walks whose edge word reduces to the empty word when adjacent
 inverse pairs are erased. The sampler is exactly uniform: each step draws an
 integer below the exact count of completions, so there is no floating-point
-anywhere in the distribution.
+anywhere in the distribution. It serves the `nullcycle sample` command; the
+verdicts in bounds read exact sums over all nullcycles instead (chi_moments
+and the head-segment count), so no verdict draws a walk.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
-from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows,
-                   require_regular)
+from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows, reduce_word,
+                   require_regular, tree_radius)
 from .report import BoundReport, BoundViolation, Hypothesis, upper
 from .treewalk import bridge_distance_distribution, tables_for
 
@@ -94,6 +99,111 @@ def _walks_between(g: SerreGraph, x: int, y: int, k: int) -> list[tuple[int, ...
     return out
 
 
+def _unbalanced_loops(g: SerreGraph, v: int, k: int) -> list[tuple[int, ...]]:
+    """The reduced word of every unbalanced closed k-walk at v, one entry per
+    walk; more than WALK_BUDGET prefixes raise."""
+    return [reduce_word(g, c) for c in _walks_between(g, v, v, k)
+            if _unbalanced_edge(g, c) is not None]
+
+
+def chi_moments(g: SerreGraph, root: int, n: int, ks) -> dict[int, tuple[int, int]]:
+    """For each k in ks, the pair (closed nk-walks at root, sum of chi(w) over
+    the length-nk nullcycles w at root), both exact, where chi(w) counts the
+    aligned segments w[jk:(j+1)k] that are unbalanced closed walks (chi_statistic
+    with a visit cap no walk reaches).
+
+    Let N = nk, a = jk, b = N - a - k. Lifted to the covering tree, a
+    nullcycle with an unbalanced closed segment c at v reads p c s: its
+    length-a prefix ends at a lift p of v, a non-backtracking path from the
+    root, and its suffix returns from p c reduced. With f_1..f_L the reduced
+    word of c and m the overlap (how far p's tail cancels f_1 f_2 ...), that
+    word has length |p| + L - 2m, so the sum is
+    sum_j sum_c sum_r sum_m [A_m(r) - A_{m+1}(r)] u[a][r] u[b][r + L - 2m].
+    A_0(r) = NB_r(o -> v) counts the non-backtracking r-paths from the root
+    to v; for m >= 1, A_m(r) counts those ending in inv f_m .. inv f_1, that
+    is NB_{r-m}(o -> dst f_m) less x_{r-m}(f_m), the paths whose last edge is
+    f_m, from the pair recurrence x_s(f) = NB_{s-1}(src f) - x_{s-1}(inv f).
+    Telescoping over m leaves one graph vector per shift L - 2m. Only
+    r <= N/2 contributes, since r <= a and r <= b + k, and a vertex whose
+    radius-floor(k/2) ball is a tree carries no unbalanced closed k-walk.
+
+    The closed count is sum over w of (sum_r u[N/2][r] NB_r(o -> w))^2: a
+    walk of length N/2 lifts to a tree walk from the root to a lift of w.
+    One non-backtracking pass of the kernel, to depth max(nk)/2, serves
+    every k.
+    """
+    d = require_regular(g)
+    for k in ks:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if n * k <= 0 or n * k % 2:
+            raise ValueError("nk must be positive and even")
+    if not ks:
+        return {}
+    src, dst = g.src, g.dst
+    top = max(n * k for k in ks) // 2
+    u = tables_for(d, 2 * top).u
+    # per k, the signed weight of each (shift, m, vertex for m = 0 or edge f_m)
+    weights = {}
+    for k in set(ks):
+        w = weights[k] = Counter()
+        h = k // 2
+        for v in range(g.nv):
+            if tree_radius(g, v, h) >= h:  # a tree ball: every closed k-walk balances
+                continue
+            for word, c in Counter(_unbalanced_loops(g, v, k)).items():
+                size = len(word)
+                w[size, 0, v] += c
+                for m, f in enumerate(word, 1):
+                    w[size - 2 * m, m, f] += c
+                    w[size - 2 * m + 2, m, f] -= c
+    edges = {x for w in weights.values() for (_, m, x) in w if m}
+    track = sorted({x for w in weights.values() for (_, m, x) in w if not m}
+                   | {src[f] for f in edges} | {dst[f] for f in edges})
+    nb = {v: [] for v in track}
+    half = {k: n * k // 2 for k in ks}
+    walks_to = {k: [0] * g.nv for k in ks}
+    for r, inflow in enumerate(_walk_inflows(g.nv, _edge_arrays(g), root, top, reduced=True)):
+        row = inflow.tolist()
+        for v in track:
+            nb[v].append(row[v])
+        for k, t in half.items():
+            if r <= t and u[t][r]:
+                walks_to[k] = list(map(add, walks_to[k], map(mul, repeat(u[t][r]), row)))
+    # B_f(s) = NB_s(o -> dst f) - x_s(f): the s-paths that inv f extends
+    extend = {}
+    for f in edges:
+        into, out = nb[src[f]], nb[dst[f]]
+        xf = xi = 0
+        seq = extend[f] = []
+        for s in range(top + 1):
+            seq.append(out[s] - xf)
+            xf, xi = into[s] - xi, out[s] - xf
+    result = {}
+    for k in ks:
+        nk, rmax = n * k, half[k]
+        shift: dict[int, list[int]] = {}
+        for (delta, m, x), c in weights[k].items():
+            if c:
+                vec = shift.setdefault(delta, [0] * (rmax + 1))
+                seq = nb[x] if not m else extend[x]
+                for r in range(m, rmax + 1):
+                    vec[r] += c * seq[r - m]
+        chi = 0
+        for j in range(n):
+            a = j * k
+            b = nk - a - k
+            ua, ub = u[a], u[b]
+            for delta, vec in shift.items():
+                lo, hi = max(0, -delta), min(rmax, a, b - delta)
+                lo += (lo - a) % 2
+                if lo <= hi:
+                    chi += sum(map(mul, map(mul, ua[lo:hi + 1:2], ub[lo + delta:hi + delta + 1:2]),
+                                   vec[lo:hi + 1:2]))
+        result[k] = (sum(c * c for c in walks_to[k]), chi)
+    return result
+
+
 # -- exact-uniform sampler ---------------------------------------------------
 
 
@@ -163,45 +273,6 @@ class NullcycleSampler:
             edges.append(e)
         assert not stack
         return Walk(self.root, tuple(edges))
-
-
-def sampler_distribution(g: SerreGraph, root: int, n: int) -> dict[tuple[int, ...], Fraction]:
-    """The sampler's induced distribution, computed symbolically by walking
-    every branch and multiplying exact step probabilities."""
-    d = require_regular(g)
-    if n % 2:
-        raise ValueError("nullcycles have even length")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    u = tables_for(d, max(n, 2)).u
-    dst, inv = g.dst, g.inv
-    out: dict[tuple[int, ...], Fraction] = {}
-
-    def rec(v, stack, prefix, prob):
-        j = len(prefix)
-        m = n - j
-        if m == 0:
-            out[tuple(prefix)] = prob
-            return
-        k = len(stack)
-        total = u[m][k]
-        if k == 0:
-            w = Fraction(u[m - 1][1], total)
-            for e in g.out_edges(v):
-                rec(dst[e], stack + [e], prefix + [e], prob * w)
-        else:
-            back = inv[stack[-1]]
-            pdown = Fraction(u[m - 1][k - 1], total)
-            if pdown:
-                rec(dst[back], stack[:-1], prefix + [back], prob * pdown)
-            wup = Fraction(u[m - 1][k + 1], total)
-            if wup:
-                for e in g.out_edges(v):
-                    if e != back:
-                        rec(dst[e], stack + [e], prefix + [e], prob * wup)
-
-    rec(root, [], [], Fraction(1))
-    return out
 
 
 # -- chi ----------------------------------------------------------------------

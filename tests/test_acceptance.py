@@ -39,7 +39,6 @@ from serregraph.nullcycles import (
     expected_visits,
     parity_partition_probability,
     parity_probability,
-    sampler_distribution,
 )
 from serregraph.percolation import percolate, window_growth
 from serregraph.spectral import (
@@ -60,6 +59,8 @@ from serregraph.treewalk import (
     return_probability,
     tables_for,
 )
+
+from nullcycle_oracles import sampler_distribution
 
 
 def _fleet():

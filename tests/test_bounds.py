@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from serregraph import bounds
+from serregraph import nullcycles as nc
 from serregraph.census import cycle_census, gamma_k
-from serregraph.core import complete_graph, petersen, prism
+from serregraph.core import (Walk, _edge_arrays, _walk_inflows, complete_graph, half_loop_rose,
+                             petersen, prism, rose)
 from serregraph.exact import rho_tree
 from serregraph.limits import configuration_model
 from serregraph.report import report
@@ -152,12 +154,23 @@ def test_mean_log_return_routes_agree():
 
 
 def test_closed_walk_counts_read_only_the_last_row():
-    # uint64 rows and Python-int rows (3^nk past 2^64 from nk = 41) alike
-    for g in (petersen(), configuration_model(3, 64, seed=3), configuration_model(4, 36, seed=1)):
+    # the chi left side squares the last row of one non-backtracking pass:
+    # uint64 rows and Python-int rows (2^r past 2^64 from r = 64) alike
+    graphs = (petersen(), configuration_model(3, 64, seed=3), configuration_model(4, 36, seed=1))
+    for g in graphs:
         for o in (0, g.nv // 2, g.nv - 1):
-            for nk in (0, 2, 8, 40, 42, 60):
-                got = bounds._closed_walks(g, o, nk)
+            for nk in (2, 8, 40, 42, 60, 140):
+                got, _ = nc.chi_moments(g, o, nk, [1])[1]
                 assert type(got) is int and got == walk_counts(g, o, nk)[nk][o]
+
+
+def test_closed_walk_counts_match_the_full_walk_kernel_at_walks_size():
+    # the benchmark's walks command: n = 200 and k = 2, 3 on cfg(3, 256)
+    g = configuration_model(3, 256, seed=7)
+    moments = nc.chi_moments(g, 0, 200, [2, 3])
+    rows = list(_walk_inflows(g.nv, _edge_arrays(g), 0, 300, reduced=False))
+    for k in (2, 3):
+        assert moments[k][0] == sum(c * c for c in rows[100 * k].tolist())
 
 
 def test_mean_log_return_past_float64_and_chi_lower_use_exact_counts():
@@ -165,7 +178,7 @@ def test_mean_log_return_past_float64_and_chi_lower_use_exact_counts():
     nk = 40  # 3^40 >= 2^63: the diagonal route sums its squares in Python ints
     diag = [walk_counts(g, o, nk)[nk][o] for o in range(g.nv)]
     assert bounds.mean_log_return(g, nk, _diag(g, nk)) == bounds.mean_log_return(g, nk, diag)
-    rep = bounds.thm_43_lower(g, 5, 3, 2, samples=200, seed=1)
+    rep = bounds.thm_43_lower(g, 3, 2, nc.chi_moments(g, 5, 3, [2])[2])
     assert rep.lhs == float(walk_counts(g, 5, 6)[6][5])
 
 
@@ -176,12 +189,6 @@ def test_returns_rejects_n_below_one():
             bounds.thm_main_returns(g, n, 2, Fraction(0), None)
 
 
-def test_monte_carlo_checks_reject_too_few_samples():
-    g = petersen()  # 3^30 walks: the chi check samples
-    with pytest.raises(ValueError, match="samples must be >= 2"):
-        bounds.thm_43_lower(g, 0, 30, 1, samples=1)
-
-
 def test_mean_log_return_rejects_odd():
     with pytest.raises(ValueError):
         bounds.mean_log_return(petersen(), 7, None)
@@ -190,32 +197,55 @@ def test_mean_log_return_rejects_odd():
 # -- the exponential chi display -------------------------------------------------
 
 
+def _chi_lower(g, root, n, k):
+    return bounds.thm_43_lower(g, n, k, nc.chi_moments(g, root, n, [k])[k])
+
+
 def test_chi_exp_lower_enumerated_desk_cases():
-    rep = bounds.thm_43_lower(complete_graph(4), 0, 2, 2)
+    rep = _chi_lower(complete_graph(4), 0, 2, 2)
     assert rep.verdict == "pass"
     assert rep.lhs == 21.0  # closed 4-walks at a K4 vertex
-    rep2 = bounds.thm_43_lower(petersen(), 0, 6, 1)
+    rep2 = _chi_lower(petersen(), 0, 6, 1)
     assert rep2.verdict == "pass"
     assert rep2.notes == ""
 
 
-def test_chi_exp_lower_monte_carlo_route(monkeypatch):
+def test_chi_exp_lower_first_moment_matches_enumerated_exponentials():
+    # the old exact route: exp(c_k chi/ell) summed over every nullcycle
+    for g, n, k in ((configuration_model(3, 64, seed=0), 3, 2), (complete_graph(4), 2, 3),
+                    (half_loop_rose(3), 6, 1), (rose(2), 2, 3)):
+        d, lv = g.degree(0), bounds.ell(g.degree(0), k)
+        root = next(v for v in range(g.nv) if gamma_k(g, v, k) > 0)
+        ck = float(bounds.c_k(d, k))
+        want = sum(math.exp(ck * nc.chi_statistic(g, Walk(root, w), k, lv) / lv)
+                   for w in nc.enumerate_nullcycles(g, root, n * k)) / 14.0
+        rep = _chi_lower(g, root, n, k)
+        assert rep.notes == "" and rep.verdict == "pass"
+        assert rep.tolerance < 1e-8 * rep.rhs
+        assert abs(rep.rhs - want) <= rep.tolerance, (g.name, rep.rhs, want)
+
+
+def test_chi_exp_lower_tolerance_carries_the_second_order_rest():
+    # t n = 200 c_k/ell; the rest |N_nk| (tn)^2 e^(tn)/28 sits under 1e-9 |rhs|
     g = configuration_model(3, 64, seed=0)
-    root = next(v for v in range(g.nv) if gamma_k(g, v, 2) > 0)
-    with monkeypatch.context() as m:
-        m.setattr(bounds, "EXACT_BUDGET", 10)
-        rep = bounds.thm_43_lower(g, root, 3, 2, samples=4000, seed=5)
-    assert "Monte Carlo" in rep.notes
-    assert rep.tolerance > 0
-    assert rep.verdict in OK
-    exact = bounds.thm_43_lower(g, root, 3, 2)
-    assert exact.notes == ""
-    assert abs(rep.rhs - exact.rhs) <= rep.tolerance
+    rep = _chi_lower(g, 0, 200, 2)
+    tn = float(bounds.c_k(3, 2) / bounds.ell(3, 2)) * 200
+    rest = float(rep.constants["|N_nk|"]) * tn * tn * math.exp(tn) / 28
+    assert rep.tolerance == rest + 1e-9 * (1.0 + rep.rhs)
+    assert 0 < rest < 1e-18 * rep.rhs
+
+
+def test_chi_exp_lower_rejects_walks_past_ell():
+    # nk + 1 visits past ell would let chi's visit cap bind
+    g = complete_graph(4)
+    lv = bounds.ell(3, 1)
+    with pytest.raises(ValueError, match=f"nk \\+ 1 = {lv + 1} visits exceed ell = {lv}"):
+        bounds.thm_43_lower(g, lv, 1, (0, 0))
 
 
 def test_chi_exp_lower_parity_error():
     with pytest.raises(ValueError):
-        bounds.thm_43_lower(complete_graph(4), 0, 3, 1)
+        bounds.thm_43_lower(complete_graph(4), 3, 1, None)
 
 
 # -- density to visits ------------------------------------------------------------

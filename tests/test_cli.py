@@ -288,15 +288,15 @@ GIRTH_CFG3_64 = (
 )
 
 
-# frozen stdout of the chi and visits suites: 250 seeded draws per chi row,
-# and exact visits rows (root 0 has no nontrivial closed 2- or 3-walk)
+# frozen stdout of the chi and visits suites: exact chi rows from the first
+# moment (--samples and --seed feed no suite), and exact visits rows (root 0
+# has no nontrivial closed 2- or 3-walk)
 WALKS_CFG3_256 = (
     "suite,k,name,verdict,lhs,rhs,margin,tolerance,failed_hypotheses,notes\n"
-    "chi,2,chi-exp-lower n=200 k=2,pass,2.7558902768207063e+188,3.336140306957318e+176,"
-    "2.75589027681737e+188,3.211177409378038e+164,,Monte Carlo; 250 draws; tolerance is 3 sigma\n"
-    "chi,3,chi-exp-lower n=200 k=3,pass,7.320030093299977e+283,3.772369572417248e+266,"
-    "7.320030093299977e+283,1.7927344137130648e+253,,"
-    "Monte Carlo; 250 draws; tolerance is 3 sigma\n"
+    "chi,2,chi-exp-lower n=200 k=2,pass,2.7558902768207063e+188,3.336140306958127e+176,"
+    "2.75589027681737e+188,3.3361403076651474e+167,,\n"
+    "chi,3,chi-exp-lower n=200 k=3,pass,7.320030093299977e+283,3.772369572417275e+266,"
+    "7.320030093299977e+283,3.772369572420398e+257,,\n"
     "visits,2,density-to-visits n=200 k=2,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
     "visits,3,density-to-visits n=200 k=3,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
 )
@@ -311,16 +311,17 @@ def test_bounds_walks_output_is_pinned(cfg3_256_path, capsys, monkeypatch):
     assert out.out == WALKS_CFG3_256 and out.err == ""
 
 
-# d^n fits bounds.EXACT_BUDGET at the default lengths on Petersen, so both
-# suites enumerate every nullcycle
+# the default lengths on Petersen: d^n is small enough that the chi rhs was
+# once the exact sum of exp(c_k chi/ell) over every nullcycle, and it reads the
+# same from the first moment
 WALKS_PETERSEN_EXACT = (
     "suite,k,name,verdict,lhs,rhs,margin,tolerance,failed_hypotheses,notes\n"
     "chi,1,chi-exp-lower n=4 k=1,pass,15.0,1.0714285714285714,13.928571428571429,"
-    "2.0714285714285713e-09,,\n"
+    "2.0714285714300247e-09,,\n"
     "chi,2,chi-exp-lower n=4 k=2,pass,759.0,38.785714285714285,720.2142857142857,"
-    "3.978571428571429e-08,,\n"
+    "3.978571428571758e-08,,\n"
     "chi,3,chi-exp-lower n=4 k=3,pass,54783.0,1701.642857142857,53081.357142857145,"
-    "1.7026428571428571e-06,,\n"
+    "1.7026428571428578e-06,,\n"
     "visits,1,density-to-visits n=4 k=1,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
     "visits,2,density-to-visits n=6 k=2,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
     "visits,3,density-to-visits n=8 k=3,not applicable,0.0,0.0,0.0,1e-12,2k+2 <= n <= sqrt|G|,\n"
@@ -428,7 +429,7 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
     import csv
     import io
 
-    from serregraph import bounds, census, spectral
+    from serregraph import bounds, census, nullcycles, spectral
     from serregraph.limits import configuration_model
 
     p = tmp_path / "cfg.sgf"
@@ -451,7 +452,7 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
     g = load_path(str(p))
     rho = solve(g).rho
     direct = {
-        "chi": lambda k: bounds.thm_43_lower(g, 0, 4, k, samples=200, seed=0),
+        "chi": lambda k: bounds.thm_43_lower(g, 4, k, nullcycles.chi_moments(g, 0, 4, [k])[k]),
         "visits": lambda k: bounds.lemma_visits_lower(
             g, 0, 2 * k + 2, k, rho, census.gamma_k(g, 0, k)
         ),
@@ -472,6 +473,7 @@ def test_bounds_returns_past_the_float64_window(tmp_path, capsys):
     # nk = 60 on 512 vertices: 3^60 >= 2^64, far past the float64-exact range
     from serregraph import bounds
     from serregraph.limits import configuration_model
+    from serregraph.spectral import walk_counts
 
     g = configuration_model(3, 512, seed=0)
     p = tmp_path / "cfg.sgf"
@@ -483,7 +485,7 @@ def test_bounds_returns_past_the_float64_window(tmp_path, capsys):
     row = lines[1].split(",")
     assert row[:4] == ["returns", "3", "main-returns n=20 k=3", "not applicable"]
     assert row[8] == "|G| >= (nk)^2"
-    per_root = [bounds._closed_walks(g, o, 60) for o in range(g.nv)]
+    per_root = [sum(c * c for c in walk_counts(g, o, 30)[30]) for o in range(g.nv)]
     assert float(row[4]) == bounds.mean_log_return(g, 60, diag_counts=per_root)
 
 
@@ -492,8 +494,8 @@ def test_bounds_returns_past_the_float64_window(tmp_path, capsys):
     [
         (["bounds", "verify", "--suite", "returns", "--n", "0"], "n must be >= 1"),
         (["bounds", "verify", "--suite", "returns", "--n", "-2"], "n must be >= 1"),
-        (["bounds", "verify", "--suite", "chi", "--n", "30", "--k", "1", "--samples", "1"],
-         "samples must be >= 2"),
+        (["bounds", "verify", "--suite", "chi", "--n", "3", "--k", "1..2"],
+         "nk must be positive and even"),
         (["bounds", "verify", "--suite", "visits", "--n", "5", "--k", "2"],
          "n must be positive and even"),
         (["census", "--k", "3", "--mc", "--samples", "0"], "samples must be >= 1"),
@@ -503,7 +505,7 @@ def test_bounds_returns_past_the_float64_window(tmp_path, capsys):
         (["nullcycle", "sample", "--root", "0", "--n", "4", "--stats", "chi:k=0:l=1"],
          "k must be >= 1"),
     ],
-    ids=["returns-n0", "returns-n-2", "chi-samples1", "visits-n-odd", "census-mc-samples0",
+    ids=["returns-n0", "returns-n-2", "chi-nk-odd", "visits-n-odd", "census-mc-samples0",
          "kappa-mc-samples0", "chi-stat-k0"],
 )
 def test_parameter_errors_name_the_parameter(pet_path, argv, message, capsys):
@@ -925,6 +927,21 @@ def test_bounds_import_leaves_spectral_unloaded():
     assert _run_python(code) == "False"
 
 
+def test_bounds_imports_no_sampler_and_no_enumeration():
+    # every verdict is exact: bounds reads the chi moments it is given and
+    # draws or enumerates no nullcycle
+    import ast
+
+    import serregraph
+
+    tree = ast.parse((Path(serregraph.__file__).parent / "bounds.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert names & {"NullcycleSampler", "enumerate_nullcycles", "chi_statistic"} == set()
+    assert not any(isinstance(node, ast.Import) and any(a.name == "random" for a in node.names)
+                   for node in ast.walk(tree))
+
+
 def test_verdict_layers_leave_spectral_and_census_unloaded():
     # a layer that needs rho(G) or gamma_k takes it from its caller, and the
     # census classifies its Monte Carlo draws without the nullcycle layer
@@ -975,7 +992,7 @@ def test_defaulted_parameter_count_stays_within_budget():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
-    assert count <= 42, count
+    assert count <= 40, count
 
 
 def test_cli_import_registers_every_traced_layer_and_runs_without_openssl(tmp_path):

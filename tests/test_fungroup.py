@@ -242,19 +242,32 @@ def test_state_budget_truncates_or_raises(monkeypatch):
     monkeypatch.setattr(fungroup, "STATE_BUDGET", 1500)
     est = kappa_estimate(g, 0, 0, 3, 3)
     assert est.truncated
-    assert est.achieved_m == 1
-    assert est.p_even == [Fraction(11, 216)]
-    monkeypatch.setattr(fungroup, "STATE_BUDGET", 400)
+    assert est.achieved_m == 2
+    assert est.p_even == [Fraction(11, 216), Fraction(2131, 279936)]
+    # the m = 1 pass keeps the pair alphabet itself, more than 30 words here
+    monkeypatch.setattr(fungroup, "STATE_BUDGET", 30)
     with pytest.raises(ValueError):
         kappa_estimate(g, 0, 0, 3, 3)
 
 
+def test_word_dp_reach_never_falls_as_mmax_grows(monkeypatch):
+    # K4, x = y = 0, k = 3: one pass capped for mmax keeps more words than a
+    # pass capped for the m it computes, so a larger mmax used to reach fewer m
+    monkeypatch.setattr(fungroup, "STATE_BUDGET", 5000)
+    g = complete_graph(4)
+    runs = [kappa_estimate(g, 0, 0, 3, mmax, method="exact") for mmax in range(1, 7)]
+    reached = [len(est.p_even) for est in runs]
+    assert reached == [1, 2, 2, 2, 2, 2]
+    assert all(est.p_even == runs[1].p_even[:len(est.p_even)] for est in runs)
+    assert [est.truncated for est in runs] == [False, False, True, True, True, True]
+
+
 def test_state_budget_error_names_the_budget_and_the_sampler(monkeypatch):
-    monkeypatch.setattr(fungroup, "STATE_BUDGET", 400)
+    monkeypatch.setattr(fungroup, "STATE_BUDGET", 30)
     with pytest.raises(ValueError) as err:
         kappa_estimate(complete_graph(4), 0, 0, 3, 3)
     msg = str(err.value)
-    assert "STATE_BUDGET = 400" in msg
+    assert "STATE_BUDGET = 30" in msg
     assert 'method="mc"' in msg and "--method mc" in msg
 
 

@@ -21,6 +21,7 @@ from serregraph.core import (
     half_loop_rose,
     petersen,
     prism,
+    reduce_word,
     rose,
     schreier_quotient,
     split_full_loops,
@@ -29,7 +30,9 @@ from serregraph.fungroup import homotopy_class
 from serregraph.limits import configuration_model
 from serregraph.report import BoundViolation
 from serregraph.sgf import dumps
-from serregraph.spectral import rho
+from serregraph.spectral import rho, walk_counts
+
+from nullcycle_oracles import sampler_distribution
 
 
 def schreier_triangle():
@@ -110,7 +113,7 @@ def test_nullcycle_count_invariance(g):
 @pytest.mark.parametrize("g", DESK, ids=lambda g: g.name or "g")
 def test_sampler_distribution_exactly_uniform(g):
     for n in (2, 4, 6):
-        dist = nc.sampler_distribution(g, 0, n)
+        dist = sampler_distribution(g, 0, n)
         walks = nc.enumerate_nullcycles(g, 0, n)
         assert set(dist) == set(walks)
         uniform = Fraction(1, len(walks))
@@ -124,7 +127,7 @@ def test_k4_n4_has_15_nullcycles():
 
 def test_n2_uniform_over_first_steps():
     g = petersen()
-    dist = nc.sampler_distribution(g, 0, 2)
+    dist = sampler_distribution(g, 0, 2)
     assert len(dist) == 3
     for edges, p in dist.items():
         assert edges[1] == g.inv[edges[0]]
@@ -148,7 +151,7 @@ def test_sampler_rejects_odd_length():
         nc.NullcycleSampler(complete_graph(4), 0, 5)
 
 
-@pytest.mark.parametrize("build", [nc.NullcycleSampler, nc.sampler_distribution],
+@pytest.mark.parametrize("build", [nc.NullcycleSampler, sampler_distribution],
                          ids=["sampler", "distribution"])
 def test_negative_length_is_rejected(build):
     # the sampler used to draw empty walks and the distribution to divide 0 by 0
@@ -337,6 +340,71 @@ def test_chi_equals_the_segment_walking_definition():
     assert nontrivial > 0
 
 
+# the (graph, k) grid of the exact chi sum; nk runs up to a walk budget
+CHI_GRID = [complete_graph(4), petersen(), prism(3), rose(2), half_loop_rose(3),
+            configuration_model(3, 16, seed=0), configuration_model(4, 10, seed=0)]
+
+
+def _chi_sum_by_reduced_prefixes(g, root, n, k):
+    """sum of chi over the length-nk nullcycles at root, by brute force over
+    prefixes: the length-jk walks from the root are counted by their reduced
+    word p, and for each unbalanced closed k-walk c at p's end, with reduced
+    word f, u[b][|p f reduced|] suffixes of length b = nk - jk - k close the
+    nullcycle."""
+    u = tw.tables_for(g.degree(root), n * k).u
+    loops = {}
+    prefixes = Counter({(): 1})
+    total = 0
+    for j in range(n):
+        b = n * k - j * k - k
+        for p, count in prefixes.items():
+            v = g.dst[p[-1]] if p else root
+            if v not in loops:
+                loops[v] = Counter(reduce_word(g, w.edges) for w in _closed_walks(g, v, k)
+                                   if _chi_reference(g, w, k, 10 ** 9))
+            total += count * sum(c * u[b][len(reduce_word(g, p + f))] for f, c in loops[v].items())
+        for _ in range(k):
+            step = Counter()
+            for p, count in prefixes.items():
+                for e in g.out_edges(g.dst[p[-1]] if p else root):
+                    step[p[:-1] if p and p[-1] == g.inv[e] else p + (e,)] += count
+            prefixes = step
+    return total
+
+
+def _closed_walks(g, v, k):
+    walks = [Walk(v, ())]
+    for _ in range(k):
+        walks = [Walk(v, w.edges + (e,)) for w in walks for e in g.out_edges(w.vertices(g)[-1])]
+    return [w for w in walks if w.is_closed(g)]
+
+
+@pytest.mark.parametrize("g", CHI_GRID, ids=lambda g: g.name or "g")
+def test_chi_moments_match_enumerated_nullcycles(g):
+    # every nullcycle of length nk <= 10 walked, at two roots
+    d = g.degree(0)
+    for root in (0, g.nv - 1):
+        for k in (1, 2, 3, 4):
+            ns = [n for n in range(1, 11) if n * k % 2 == 0 and n * k <= (10 if d == 3 else 8)]
+            for n in ns:
+                closed, chi = nc.chi_moments(g, root, n, [k])[k]
+                walks = nc.enumerate_nullcycles(g, root, n * k)
+                assert chi == sum(nc.chi_statistic(g, Walk(root, w), k, 10 ** 9) for w in walks)
+                assert closed == walk_counts(g, root, n * k)[n * k][root]
+
+
+@pytest.mark.parametrize("g", CHI_GRID, ids=lambda g: g.name or "g")
+def test_chi_moments_match_reduced_prefix_counts(g):
+    # longer walks than enumeration reaches, several k in one pass
+    d = g.degree(0)
+    for root in (0, g.nv - 1):
+        for n in (4, 6, 14) if d == 3 else (4, 10):
+            ks = [k for k in (1, 2, 3, 4) if n * k <= (14 if d == 3 else 10)]
+            moments = nc.chi_moments(g, root, n, ks)
+            for k in ks:
+                assert moments[k][1] == _chi_sum_by_reduced_prefixes(g, root, n, k), (root, n, k)
+
+
 def _visits_lhs(g, n, k):
     return bounds.lemma_visits_lower(g, 0, n, k, 0.5, 0).lhs
 
@@ -357,7 +425,7 @@ def test_visits_lhs_is_the_enumerated_mean_of_the_head_segment():
 
 def test_visits_lhs_agrees_with_sampled_nullcycles_past_the_budget():
     g, n, k, draws = complete_graph(4), 20, 3, 20_000
-    assert 3 ** n > bounds.EXACT_BUDGET
+    assert 3 ** n > 2 * 10 ** 6  # too many walks to enumerate
     hits = sum(_chi_reference(g, Walk(0, w.edges[:k]), k, 10 ** 9)
                for w in nc.NullcycleSampler(g, 0, n).draws(draws, seed=0))
     mean = hits / draws

