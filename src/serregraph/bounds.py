@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, require_regular
+from . import core
+from .core import SerreGraph, _unbalanced_words, require_regular
 from .exact import rho_tree
-from .nullcycles import _unbalanced_loops
 from .report import BoundReport, Hypothesis, report, upper
 from .treewalk import nullcycle_count, tables_for
 
@@ -229,8 +229,8 @@ def lemma_visits_lower(
     nullcycles open with c, and the mean is the sum of those counts over the
     unbalanced closed k-walks c, divided by |N_n| = u[n][0]; it is 0 when
     n < k. That sum is the j = 0, root-only term of nullcycles.chi_moments,
-    and the same helper enumerates the walks c, at most
-    nullcycles.WALK_BUDGET prefixes.
+    and it reads the same reduced words, from core._unbalanced_words, under
+    the same cap of core.WALK_BUDGET walk prefixes.
     """
     d = require_regular(g)
     _check_dk(d, k)
@@ -245,8 +245,8 @@ def lemma_visits_lower(
     lhs = 0.0
     if n >= k:
         u = tables_for(d, n).u
-        hits = sum(u[n - k][len(word)] for word in _unbalanced_loops(g, root, k))
-        lhs = hits / u[n][0]
+        words = _unbalanced_words(g, root, k, core.WALK_BUDGET)
+        lhs = sum(u[n - k][len(word)] for word in words) / u[n][0]
     return report(
         f"density-to-visits n={n} k={k}",
         lhs=lhs,

@@ -7,75 +7,28 @@ half-loop is traversed at all. Rooted-directed counting makes the density
 gamma(G, k) equal to the vertex average of the per-root counts by
 construction; unrooted conventions would differ by a factor up to 2k.
 
-The census is linear in |G| for fixed k: every vertex a counted walk can
-enter lies within floor(k/2) of its root, since a walk that has taken s
-steps is at most s from the root and must get back in the k - s left. So
-the distance map each root's DFS prunes with is a BFS capped at that radius,
-and the degree budget is checked once per census rather than once per root.
-A root with tree radius t(v) >= floor(k/2) (core.tree_radius) counts 0 with
-no DFS: its closed k-walks stay in a tree ball, where they are balanced. The
-essential-girth profile is the histogram of t: its count at r is #{v : t(v) >= r}.
+The census is linear in |G| for fixed k. It counts the unbalanced closed
+walks core._unbalanced_words yields at each root, and the walker behind it
+never leaves the radius-floor(k/2) ball of its root: a walk that has taken s
+steps is at most s from the root and must get back in the k - s left. The
+degree budget is checked once per census rather than once per root, and
+bounds the walker a priori. A root with tree radius t(v) >= floor(k/2)
+(core.tree_radius) counts 0 with no walk enumerated: its closed k-walks stay
+in a tree ball, where they are balanced. The essential-girth profile is the
+histogram of t: its count at r is #{v : t(v) >= r}.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, _unbalanced_edge, distances_from, tree_radius
+from .core import SerreGraph, _check_vertex, _unbalanced_edge, _unbalanced_words, tree_radius
 from .exact import frac_str
 
 ENUM_BUDGET = 10 ** 8
-
-
-def _count_closed_nontrivial(g: SerreGraph, v: int, k: int) -> int:
-    # DFS over k-step walks from v that can still return in time.
-    # Balance state is maintained incrementally: `unbal` counts inverse
-    # pairs with unequal traversal counts, `hl` counts half-loop steps.
-    # The BFS stops at radius k // 2 and loses nothing: a step to w at step
-    # s+1 is kept only if dist(w) <= k-s-1, and dist(w) <= s+1 always holds,
-    # so every vertex the DFS enters has 2 dist(w) <= k. A vertex missing
-    # from the capped map lies beyond k // 2 and would be pruned anyway.
-    dist = distances_from(g, v, cap=k // 2)
-    dst, inv = g.dst, g.inv
-    counts: dict[int, int] = {}
-    total = 0
-    unbal = 0
-    hl = 0
-
-    def go(u: int, left: int) -> None:
-        nonlocal total, unbal, hl
-        if left == 0:
-            if u == v and (unbal or hl):
-                total += 1
-            return
-        for e in g.out_edges(u):
-            w = dst[e]
-            dw = dist.get(w)
-            if dw is None or dw > left - 1:
-                continue
-            ei = inv[e]
-            if ei == e:
-                hl += 1
-            else:
-                key = min(e, ei)
-                delta = 1 if e <= ei else -1
-                before = counts.get(key, 0)
-                counts[key] = before + delta
-                unbal += (before + delta != 0) - (before != 0)
-            go(w, left - 1)
-            if ei == e:
-                hl -= 1
-            else:
-                after = counts[key] - delta
-                counts[key] = after
-                unbal += (after != 0) - (after + delta != 0)
-        return
-
-    go(v, k)
-    assert not counts or all(c == 0 for c in counts.values())
-    return total
 
 
 def _check_budget(g: SerreGraph, k: int) -> None:
@@ -89,10 +42,15 @@ def _check_budget(g: SerreGraph, k: int) -> None:
         )
 
 
+def _count(g: SerreGraph, v: int, k: int) -> int:
+    # _check_budget bounds the enumeration a priori, so the walker runs uncapped
+    return sum(1 for _ in _unbalanced_words(g, v, k, math.inf))
+
+
 def gamma_k(g: SerreGraph, v: int, k: int) -> int:
     """Number of nontrivial closed k-walks starting at v (exact enumeration)."""
     _check_budget(g, k)
-    return _count_closed_nontrivial(g, v, k)
+    return _count(g, v, k)
 
 
 def gamma_k_mc(g: SerreGraph, v: int, k: int, samples: int, seed: int = 0) -> float:
@@ -105,6 +63,7 @@ def gamma_k_mc(g: SerreGraph, v: int, k: int, samples: int, seed: int = 0) -> fl
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_vertex(g, v)
     if not g.degree(v):
         return 0.0
     scale, dst = g.degree(v) ** k, g.dst
@@ -147,8 +106,7 @@ def cycle_census(g: SerreGraph, k: int) -> CycleCensus:
     _check_budget(g, k)
     if not g.nv:
         raise ValueError("graph has no vertices")
-    per = tuple(0 if tree_radius(g, v, k // 2) == k // 2 else _count_closed_nontrivial(g, v, k)
-                for v in range(g.nv))
+    per = tuple(_count(g, v, k) for v in range(g.nv))
     total = sum(per)
     return CycleCensus(k=k, per_vertex=per, total=total, density=Fraction(total, g.nv))
 

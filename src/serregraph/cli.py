@@ -125,10 +125,13 @@ def _write_manifest(args, emitter: _Emitter) -> None:
         return
     skip = {"manifest", "func"}
     params = {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
+    # a seed is recorded only when the run draws from it: bounds verify never
+    # does, census only with --mc and kappa only with --method mc
+    drawn = {"bounds": False, "census": params.get("mc"), "kappa": params.get("method") == "mc"}
     if "seeds" in params:  # a count: the fleet's graphs use seeds 0..count-1
         seeds = list(range(params["seeds"]))
     else:
-        seeds = [params["seed"]] if "seed" in params else []
+        seeds = [params["seed"]] if drawn.get(params["command"], "seed" in params) else []
     cache_keys = sorted((d, t.nmax) for d, t in treewalk._MEMO.items())
     manifest = {
         "subcommand": params.pop("command"),
@@ -360,8 +363,8 @@ def _cmd_bounds(args, emitter: _Emitter) -> int:
     # executes spectral, then census, before any suite runs: executed after
     # the chi suite's tree tables, spectral moved the walks job's peak RSS by
     # ~0.7 MB, and census keeps the place it had as an import of bounds.
-    solve, gamma_at = spectral.markov_spectrum, census.gamma_k
-    rho = functools.cache(lambda: solve(g).rho)
+    solve, gamma_at = spectral.rho, census.gamma_k
+    rho = functools.cache(lambda: solve(g))
     gamma = functools.cache(lambda k: census.cycle_census(g, k).density)
     gamma_root = functools.cache(lambda k: gamma_at(g, 0, k))
     if "visits" in suites:

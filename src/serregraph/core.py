@@ -447,6 +447,7 @@ def tree_radius(g: SerreGraph, v: int, rmax: int) -> int:
     of its ends), and t(v) is the least such radius minus 1."""
     if rmax < 0:
         raise ValueError("radius must be >= 0")
+    _check_vertex(g, v)
     dst, inv = g.dst, g.inv
     seen = {v: (0, -1)}  # vertex -> (distance, edge back to its parent)
     cut, q = rmax + 1, deque([v])
@@ -750,3 +751,80 @@ def _unbalanced_edge(g: SerreGraph, edges) -> int | None:
         if counts.get(inv[e], 0) != c:
             return e
     return None
+
+
+# -- closed-walk enumeration --------------------------------------------------
+
+# the enumerations that keep their walks stop past WALK_BUDGET steps
+WALK_BUDGET = 2 * 10 ** 6
+
+
+def _check_vertex(g: SerreGraph, v: int) -> None:
+    if not 0 <= v < g.nv:
+        raise ValueError(f"root {v} is not a vertex (0..{g.nv - 1})")
+
+
+def _walk_words(g: SerreGraph, x: int, y: int, k: int, cap):
+    """Each length-k walk from x to y as (its reduced word, whether it is
+    unbalanced in the sense of _unbalanced_edge), depth first with the last
+    out-edge of a vertex tried first. A step is taken only if y is still
+    reachable in the steps left, by a BFS from y capped at k - 1, or at
+    floor(k/2) when x == y: a closed walk that has taken s steps must get
+    back in the k - s left, so it never leaves that ball. Balance and the
+    reduced word are kept on push/pop. Entering more than cap walk prefixes
+    raises."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    _check_vertex(g, x)
+    _check_vertex(g, y)
+    dist = distances_from(g, y, cap=k // 2 if x == y else k - 1)
+    dst, inv, out = g.dst, g.inv, g.out_edges
+    word: list[int] = []
+    # per inverse pair (min id), crossings one way minus the other; a half-loop
+    # is its own pair and only counts up. unbal counts the nonzero pairs
+    counts: dict[int, int] = {}
+    unbal = steps = 0
+
+    def go(u: int, left: int):
+        nonlocal unbal, steps
+        for e in reversed(out(u)):
+            w = dst[e]
+            if dist.get(w, k) >= left:
+                continue
+            steps += 1
+            if steps > cap:
+                raise ValueError(f"more than core.WALK_BUDGET = {cap} walk prefixes of length {k}")
+            ei = inv[e]
+            cancel = bool(word) and word[-1] == ei
+            if cancel:
+                word.pop()
+            else:
+                word.append(e)
+            key, delta = (e, 1) if e <= ei else (ei, -1)
+            c = counts.get(key, 0)
+            counts[key] = c + delta
+            flip = (c + delta != 0) - (c != 0)
+            unbal += flip
+            if left == 1:
+                yield tuple(word), unbal > 0
+            else:
+                yield from go(w, left - 1)
+            counts[key] = c
+            unbal -= flip
+            if cancel:
+                word.append(ei)
+            else:
+                word.pop()
+
+    return go(x, k)
+
+
+def _unbalanced_words(g: SerreGraph, v: int, k: int, cap):
+    """The reduced word of each unbalanced closed k-walk at v, in _walk_words'
+    order. None is enumerated at a root whose radius-floor(k/2) ball is a tree:
+    every closed k-walk stays in that ball, where it crosses each edge back as
+    often as it crosses it."""
+    if tree_radius(g, v, k // 2) < k // 2:
+        for word, unbalanced in _walk_words(g, v, v, k, cap):
+            if unbalanced:
+                yield word

@@ -16,9 +16,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SerreGraph, Walk, _edge_arrays, _walk_inflows, reduce_word, require_regular
+from . import core
+from .core import (SerreGraph, Walk, _edge_arrays, _walk_inflows, _walk_words, reduce_word,
+                   require_regular)
 from .exact import rho_tree
-from .nullcycles import _walks_between
 from .report import BoundReport, BoundViolation, Hypothesis, report
 from .treewalk import return_probability, tables_for
 
@@ -107,11 +108,10 @@ class KappaEstimate:
                 raise BoundViolation(f"kappa estimate decreased at m={m}")
 
 
-def _radial_rank(g: SerreGraph, walks) -> int | None:
-    """Number of free letters if every walk reduces to a distinct single
+def _radial_rank(cores) -> int | None:
+    """Number of free letters if every reduced walk is a distinct single
     edge; None otherwise. Loop letters at one vertex never satisfy a
     relation, so the pair walk is then radially a tree walk."""
-    cores = [reduce_word(g, w) for w in walks]
     if any(len(c) != 1 for c in cores):
         return None
     letters = [c[0] for c in cores]
@@ -191,7 +191,7 @@ def kappa_estimate(
     for name, v in (("x", x), ("y", y)):
         if not 0 <= v < g.nv:
             raise ValueError(f"{name} = {v} is not a vertex (0..{g.nv - 1})")
-    W = _walks_between(g, x, y, k)
+    W = [word for word, _ in _walk_words(g, x, y, k, core.WALK_BUDGET)]
     if not W:
         raise ValueError(f"no walks of length {k} from {x} to {y}")
     if (u_path is None) != (v_path is None):
@@ -214,7 +214,7 @@ def kappa_estimate(
         raise ValueError("method must be auto, exact, or mc")
 
     if method == "auto" and x == y:
-        rank = _radial_rank(g, W)
+        rank = _radial_rank(W)
         if rank is not None:
             # pair walk = two steps of the uniform letter walk, whose
             # distance from the identity is a tree-walk radial chain
@@ -225,7 +225,7 @@ def kappa_estimate(
             est.check_monotone()
             return est
 
-    words = [_word_mul(g, _word_mul(g, u, reduce_word(g, w)), v) for w in W]
+    words = [_word_mul(g, _word_mul(g, u, w), v) for w in W]
     nw = len(words)
 
     if method == "mc":
@@ -430,12 +430,8 @@ def lemma_basic_check(g: SerreGraph, o: int, x: int, w_path, k: int) -> BoundRep
     """
     d = require_regular(g)
     w_path = tuple(w_path)
-    if w_path:
-        vs = Walk(x, w_path).vertices(g)
-        if vs[-1] != o:
-            raise ValueError("w_path must run from x to o")
-    elif x != o:
-        raise ValueError("empty w_path requires x == o")
+    if Walk(x, w_path).vertices(g)[-1] != o:  # an empty path stays at x
+        raise ValueError("w_path must run from x to o")
     est = kappa_estimate(g, o, x, k, mmax=6)  # the one enumeration of W_k(o,x)
     *_, into = _walk_inflows(g.nv, _edge_arrays(g), o, k, reduced=False)
     size = int(into[x])

@@ -3,10 +3,12 @@
 Equivalently, walks whose edge word reduces to the empty word when adjacent
 inverse pairs are erased. The sampler is exactly uniform: each step draws an
 integer below the exact count of completions, so there is no floating-point
-anywhere in the distribution. It serves the `nullcycle sample` command; the
-verdicts in bounds read exact sums over all nullcycles instead (chi_moments
-and the head-segment count), so no verdict draws a walk.
-"""
+anywhere in the distribution. It serves the `nullcycle sample` command. The
+verdicts in bounds read exact sums over all nullcycles instead, so no verdict
+draws a walk: chi_moments weighs the reduced word of each unbalanced closed
+k-walk, from core._unbalanced_words, with one non-backtracking kernel pass,
+and bounds.lemma_visits_lower reads the same words at its root.
+enumerate_nullcycles lists the nullcycles themselves, for cross-checks."""
 
 from __future__ import annotations
 
@@ -18,14 +20,11 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _walk_inflows, reduce_word,
-                   require_regular, tree_radius)
+from . import core
+from .core import (SerreGraph, Walk, _edge_arrays, _unbalanced_edge, _unbalanced_words,
+                   _walk_inflows, require_regular)
 from .report import BoundReport, BoundViolation, Hypothesis, upper
 from .treewalk import bridge_distance_distribution, tables_for
-
-# walk sets are enumerated up to WALK_BUDGET prefixes
-WALK_BUDGET = 2 * 10 ** 6
-
 
 # -- classification ----------------------------------------------------------
 
@@ -75,37 +74,6 @@ def enumerate_nullcycles(g: SerreGraph, root: int, n: int) -> list[tuple[int, ..
     return res
 
 
-def _walks_between(g: SerreGraph, x: int, y: int, k: int) -> list[tuple[int, ...]]:
-    """All length-k walks from x to y, as edge-id tuples; more than
-    WALK_BUDGET prefixes raise."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    dst = g.dst
-    out = []
-    stack = [(x, ())]
-    seen = 0
-    while stack:
-        v, prefix = stack.pop()
-        if len(prefix) == k:
-            if v == y:
-                out.append(prefix)
-            continue
-        for e in g.out_edges(v):
-            seen += 1
-            if seen > WALK_BUDGET:
-                raise ValueError(f"more than nullcycles.WALK_BUDGET = {WALK_BUDGET} walk "
-                                 f"prefixes of length {k}")
-            stack.append((dst[e], prefix + (e,)))
-    return out
-
-
-def _unbalanced_loops(g: SerreGraph, v: int, k: int) -> list[tuple[int, ...]]:
-    """The reduced word of every unbalanced closed k-walk at v, one entry per
-    walk; more than WALK_BUDGET prefixes raise."""
-    return [reduce_word(g, c) for c in _walks_between(g, v, v, k)
-            if _unbalanced_edge(g, c) is not None]
-
-
 def chi_moments(g: SerreGraph, root: int, n: int, ks) -> dict[int, tuple[int, int]]:
     """For each k in ks, the pair (closed nk-walks at root, sum of chi(w) over
     the length-nk nullcycles w at root), both exact, where chi(w) counts the
@@ -147,11 +115,8 @@ def chi_moments(g: SerreGraph, root: int, n: int, ks) -> dict[int, tuple[int, in
     weights = {}
     for k in set(ks):
         w = weights[k] = Counter()
-        h = k // 2
         for v in range(g.nv):
-            if tree_radius(g, v, h) >= h:  # a tree ball: every closed k-walk balances
-                continue
-            for word, c in Counter(_unbalanced_loops(g, v, k)).items():
+            for word, c in Counter(_unbalanced_words(g, v, k, core.WALK_BUDGET)).items():
                 size = len(word)
                 w[size, 0, v] += c
                 for m, f in enumerate(word, 1):
@@ -398,16 +363,6 @@ def parity_probability(n: int, k: int, x) -> Fraction:
         if p > Fraction(1, 2):
             raise BoundViolation(f"parity mass {p} exceeds 1/2 at j={j}")
     return p
-
-
-def _compositions(n: int, k: int):
-    """All k-tuples of nonnegative integers summing to n (oracle helper)."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 def _even_part_count(n: int, parts) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from serregraph import bounds, census
 from serregraph.core import (
     Walk,
+    _walk_words,
     complete_graph,
     cycle_graph,
     from_edges,
     half_loop_rose,
     petersen,
     prism,
+    reduce_word,
     rose,
     tree_ball,
     tree_radius,
@@ -220,9 +223,9 @@ def test_tree_balls_vs_gamma_cross_validation():
 
 
 def test_tree_root_skip_equals_the_unpruned_dfs():
-    """cycle_census counts 0 at roots whose radius-k//2 ball is a tree and runs
-    the DFS elsewhere; per root it must equal the DFS run everywhere, on
-    graphs with half-loops, full loops and multi-edges."""
+    """cycle_census counts 0 at roots whose radius-k//2 ball is a tree and walks
+    elsewhere; per root it must equal the walker's unbalanced count taken
+    everywhere, on graphs with half-loops, full loops and multi-edges."""
     from tests.test_core import tree_radius_fixtures
 
     cases = skipped = 0
@@ -230,7 +233,8 @@ def test_tree_root_skip_equals_the_unpruned_dfs():
         for k in range(1, 8):
             if max(g.degrees, default=0) ** k > 10 ** 4:
                 continue
-            dfs = tuple(census._count_closed_nontrivial(g, v, k) for v in range(g.nv))
+            dfs = tuple(sum(unbalanced for _, unbalanced in _walk_words(g, v, v, k, math.inf))
+                        for v in range(g.nv))
             assert census.cycle_census(g, k).per_vertex == dfs, (g, k)
             skipped += sum(tree_radius(g, v, k // 2) == k // 2 for v in range(g.nv))
             cases += 1
@@ -247,6 +251,51 @@ def test_tree_root_skip_equals_unpruned_walks_on_small_graphs():
         for k in range(1, 7):
             assert census.cycle_census(g, k).per_vertex == tuple(
                 walk_gamma(g, v, k) for v in range(g.nv)), (g, k)
+
+
+def _brute_walk_words(g, x, y, k):
+    """Multiset of (reduced word, unbalanced) over the k-walks from x to y:
+    every tuple of out-edge ranks, kept when it is a walk that ends at y."""
+    found = Counter()
+    for ranks in itertools.product(range(max(g.degrees)), repeat=k):
+        u, edges = x, []
+        for r in ranks:
+            out = g.out_edges(u)
+            if r >= len(out):
+                break
+            edges.append(out[r])
+            u = g.dst[out[r]]
+        else:
+            if u == y:
+                n = Counter(edges)
+                unbalanced = any(g.inv[e] == e or n[e] != n[g.inv[e]] for e in edges)
+                found[reduce_word(g, edges), unbalanced] += 1
+    return found
+
+
+def test_walker_yields_every_walk_once():
+    """_walk_words against the brute force over x = y and x != y among the
+    first four vertices, k = 1..6, on graphs with half-loops, full loops or
+    multi-edges and on the census graphs (walks past 4096 rank tuples skipped)."""
+    from tests.test_core import tree_radius_fixtures
+
+    def loop_or_multi_edge(g):
+        ends = list(zip(g.src, g.dst))
+        return any(u == v for u, v in ends) or len(set(ends)) < len(ends)
+
+    graphs = [g for g in tree_radius_fixtures() if loop_or_multi_edge(g)] + [
+        cycle_graph(10), prism(6), tree_ball(3, 3).graph, configuration_model(3, 64, seed=0),
+        rose(2), half_loop_rose(3)]
+    cases = 0
+    for g in graphs:
+        for k in range(1, 7):
+            if max(g.degrees) ** k > 4096:
+                continue
+            for x, y in itertools.product(range(min(4, g.nv)), repeat=2):
+                walker = Counter(_walk_words(g, x, y, k, math.inf))
+                assert walker == _brute_walk_words(g, x, y, k), (g, x, y, k)
+                cases += 1
+    assert cases > 1000
 
 
 def test_girth_profile_is_the_tree_radius_histogram():

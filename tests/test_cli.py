@@ -382,7 +382,7 @@ def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatc
 
     p = tmp_path / "cfg.sgf"
     p.write_text(dumps(configuration_model(3, 128, seed=0)))
-    owners = {"markov_spectrum": spectral, "cycle_census": census}
+    owners = {"rho": spectral, "cycle_census": census}
     calls = dict.fromkeys(owners, 0)
 
     def counted(name):
@@ -400,7 +400,7 @@ def test_bounds_shared_values_match_direct_verdicts(tmp_path, capsys, monkeypatc
     suites = "main,ramanujan,returns"
     rc = main(["bounds", "verify", "--in", str(p), "--suite", suites, "--k", "1..3"])
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert calls == {"markov_spectrum": 1, "cycle_census": 3}
+    assert calls == {"rho": 1, "cycle_census": 3}
 
     g = load_path(str(p))
     rho = spectral.markov_spectrum(g).rho
@@ -435,7 +435,7 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
     p = tmp_path / "cfg.sgf"
     p.write_text(dumps(configuration_model(3, 128, seed=0)))
     calls = 0
-    solve = spectral.markov_spectrum
+    solve = spectral.rho
 
     def counted(*args, **kwargs):
         nonlocal calls
@@ -443,14 +443,14 @@ def test_bounds_visits_shares_the_eigensolve(tmp_path, capsys, monkeypatch):
         return solve(*args, **kwargs)
 
     # the verdict functions take rho from the CLI, which solves once per job
-    monkeypatch.setattr(spectral, "markov_spectrum", counted)
+    monkeypatch.setattr(spectral, "rho", counted)
     argv = ["bounds", "verify", "--in", str(p), "--suite", "chi,visits", "--k", "2,3"]
     main(argv + ["--samples", "200"])
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert calls == 1
 
     g = load_path(str(p))
-    rho = solve(g).rho
+    rho = spectral.markov_spectrum(g).rho
     direct = {
         "chi": lambda k: bounds.thm_43_lower(g, 4, k, nullcycles.chi_moments(g, 0, 4, [k])[k]),
         "visits": lambda k: bounds.lemma_visits_lower(
@@ -826,6 +826,23 @@ def test_manifest_records_seeds(tmp_path, k4_path):
     assert m["params"]["seed"] == 17
 
 
+@pytest.mark.parametrize("argv, seeds", [
+    (["bounds", "verify", "--suite", "main,visits", "--k", "1"], []),
+    (["census", "--k", "2"], []),
+    (["census", "--k", "2", "--mc", "--samples", "10"], [17]),
+    (["kappa", "--x", "0", "--y", "0", "--k", "3", "--mmax", "1"], []),
+    (["kappa", "--x", "0", "--y", "0", "--k", "3", "--mmax", "1", "--method", "exact"], []),
+    (["kappa", "--x", "0", "--y", "0", "--k", "3", "--mmax", "1", "--method", "mc",
+      "--samples", "10"], [17]),
+], ids=["bounds", "census", "census-mc", "kappa-auto", "kappa-exact", "kappa-mc"])
+def test_manifest_records_a_seed_only_when_the_run_draws(tmp_path, k4_path, capsys, argv, seeds):
+    man = tmp_path / "m.json"
+    assert main(["--manifest", str(man), *argv, "--in", k4_path, "--seed", "17"]) != 1
+    m = json.loads(man.read_text())
+    assert m["seeds"] == seeds
+    assert m["params"]["seed"] == 17
+
+
 def test_manifest_lists_the_fleet_seeds_not_their_count(tmp_path):
     man = tmp_path / "m.json"
     args = ["--manifest", str(man), "limits", "fleet", "--d", "3", "--sizes", "16",
@@ -958,6 +975,10 @@ def test_verdict_layers_leave_spectral_and_census_unloaded():
         "print('serregraph.nullcycles' in sys.modules)"
     )
     assert _run_python(code) == "False"
+    # bounds and fungroup enumerate their walk sets with the core walker
+    for mod in ("bounds", "fungroup"):
+        code = f"import sys, serregraph.{mod}\nprint('serregraph.nullcycles' in sys.modules)"
+        assert _run_python(code) == "False", mod
 
 
 def test_package_modules_import_each_other_only_at_module_top():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from serregraph import fungroup, nullcycles
+from serregraph import core, fungroup
 from serregraph.core import (
     Walk,
     complete_graph,
@@ -280,7 +280,7 @@ def test_no_walks_between_adjacent_petersen_vertices():
 
 
 def test_walk_budget_raises(monkeypatch):
-    monkeypatch.setattr(nullcycles, "WALK_BUDGET", 5)
+    monkeypatch.setattr(core, "WALK_BUDGET", 5)
     with pytest.raises(ValueError):
         kappa_estimate(complete_graph(4), 0, 0, 3, 1)
 

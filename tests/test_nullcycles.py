@@ -9,13 +9,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from serregraph import bounds
+from serregraph import bounds, core
 from serregraph import nullcycles as nc
 from serregraph import treewalk as tw
 from serregraph.census import gamma_k
 from serregraph.core import (
+    WALK_BUDGET,
     Walk,
-    _unbalanced_edge,
+    _walk_words,
     complete_graph,
     cycle_graph,
     half_loop_rose,
@@ -439,14 +440,13 @@ def test_unbalanced_closed_walks_are_gamma_k():
               petersen(), configuration_model(3, 16, seed=0)]
     for g in graphs:
         for k in (1, 2, 3, 4):
-            walks = nc._walks_between(g, 0, 0, k)
-            unbalanced = [c for c in walks if _unbalanced_edge(g, c) is not None]
+            unbalanced = [w for w, unbal in _walk_words(g, 0, 0, k, WALK_BUDGET) if unbal]
             assert len(unbalanced) == gamma_k(g, 0, k), (g.name, k)
 
 
 def test_walk_budget_stops_the_visits_enumeration(monkeypatch):
-    monkeypatch.setattr(nc, "WALK_BUDGET", 5)
-    with pytest.raises(ValueError, match="nullcycles.WALK_BUDGET = 5"):
+    monkeypatch.setattr(core, "WALK_BUDGET", 5)
+    with pytest.raises(ValueError, match="core.WALK_BUDGET = 5"):
         _visits_lhs(complete_graph(4), 8, 3)
 
 
@@ -533,9 +533,19 @@ def test_expected_visits_bounds_apply_on_petersen():
 # -- parity lemma -----------------------------------------------------------------
 
 
+def _compositions(n, k):
+    """All k-tuples of nonnegative integers summing to n."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
+
+
 def brute_parity(n, k, x):
     good = total = 0
-    for tup in nc._compositions(n, k):
+    for tup in _compositions(n, k):
         total += 1
         if all(t % 2 == xi % 2 for t, xi in zip(tup, x)):
             good += 1
@@ -574,7 +584,7 @@ def test_parity_bounds_hold_desk_scale():
 def brute_partition(n, parts):
     k = sum(len(p) for p in parts)
     good = total = 0
-    for tup in nc._compositions(n, k):
+    for tup in _compositions(n, k):
         total += 1
         if all(sum(tup[i] for i in p) % 2 == 0 for p in parts):
             good += 1

@@ -83,6 +83,7 @@ TEST_ORACLES = {
     "core._involution_pairing",  # cayley_graph, schreier_quotient
     "core._perm_inverse",  # _involution_pairing
     "core.connected_components",
+    "core.reduce_word",  # homotopy_class, lemma_basic_check and the tests' brute forces
     "core.disjoint_union",
     "core.split_full_loops",
     "core.tree_m_ball",
@@ -91,7 +92,6 @@ TEST_ORACLES = {
     "fungroup.homotopy_class",
     "nullcycles.classify_cycle",
     "core.Walk.is_closed",  # classify_cycle
-    "nullcycles._compositions",  # composition enumeration for tests/test_nullcycles.py
     "percolation.PercolationWindow.cluster",
     "percolation.PercolationWindow.coords",
     "percolation.PercolationWindow.density",
@@ -110,7 +110,7 @@ TRACER_MODULES = {"patterns"}
 
 # total lines of the functions no command reaches (AST spans, decorator lines
 # included); lower it when a change deletes or reaches some of them
-UNREACHED_LINE_CEILING = 1118
+UNREACHED_LINE_CEILING = 1116
 
 # -- the profiled run -------------------------------------------------------------
 

@@ -12,15 +12,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from serregraph import census
+from serregraph.bounds import lemma_visits_lower
 from serregraph.core import (
     _edge_arrays,
     _walk_inflows,
+    _walk_words,
     add_half_loops_to_regularize,
     complete_graph,
     from_edges,
     half_loop_rose,
     petersen,
     rose,
+    tree_radius,
 )
 from serregraph.nullcycles import nonbacktracking_hit_fractions
 from serregraph.percolation import cover_sphere_sizes, percolate
@@ -247,3 +251,19 @@ def test_hitting_probabilities_rejects_targets_off_the_graph(target):
     # -1 used to count vertex 9's walks as hits
     with pytest.raises(ValueError, match=f"target {target} is not a vertex \\(0..9\\)"):
         hitting_probabilities(petersen(), 0, [0, target], 2)
+
+
+@pytest.mark.parametrize("root", [-1, 10])
+@pytest.mark.parametrize("reader", [
+    lambda g, v: census.gamma_k(g, v, 5),
+    lambda g, v: census.gamma_k_mc(g, v, 5, 100),
+    lambda g, v: tree_radius(g, v, 2),
+    lambda g, v: lemma_visits_lower(g, v, 12, 5, 0.5, 0),
+    lambda g, v: _walk_words(g, v, 0, 5, 100),
+    lambda g, v: _walk_words(g, 0, v, 5, 100),
+], ids=["gamma_k", "gamma_k_mc", "tree_radius", "visits", "walk-from", "walk-to"])
+def test_walk_enumerations_reject_roots_off_the_graph(reader, root):
+    # -1 used to read vertex 9's edges (gamma_5 read 0 where vertex 9 has 12,
+    # gamma_k_mc sampled vertex 9, tree_radius read 1); 10 ended in an IndexError
+    with pytest.raises(ValueError, match=f"root {root} is not a vertex \\(0..9\\)"):
+        reader(petersen(), root)
