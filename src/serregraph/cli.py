@@ -126,8 +126,8 @@ def _write_manifest(args, emitter: _Emitter) -> None:
     skip = {"manifest", "func"}
     params = {k: _jsonable(v) for k, v in vars(args).items() if k not in skip}
     # a seed is recorded only when the run draws from it: bounds verify never
-    # does, census only with --mc and kappa only with --method mc
-    drawn = {"bounds": False, "census": params.get("mc"), "kappa": params.get("method") == "mc"}
+    # does, and kappa only with --method mc
+    drawn = {"bounds": False, "kappa": params.get("method") == "mc"}
     if "seeds" in params:  # a count: the fleet's graphs use seeds 0..count-1
         seeds = list(range(params["seeds"]))
     else:
@@ -269,13 +269,8 @@ def _cmd_nullcycle(args, emitter: _Emitter) -> int:
 def _cmd_census(args, emitter: _Emitter) -> int:
     g = load_path(args.infile)
     c = census.cycle_census(g, args.k)
-    header = ["vertex", f"gamma_{args.k}"]
     rows = [[v, c.per_vertex[v]] for v in range(g.nv)]
-    if args.mc:
-        header.append("gamma_mc")
-        for v in range(g.nv):
-            rows[v].append(census.gamma_k_mc(g, v, args.k, args.samples, seed=args.seed))
-    emitter.write(_csv_lines(header, rows), args.csv, label="census-csv")
+    emitter.write(_csv_lines(["vertex", f"gamma_{args.k}"], rows), args.csv, label="census-csv")
     summary = dict(c.to_dict())
     summary["nv"] = g.nv
     summary["mean"] = frac_str(c.density)
@@ -569,9 +564,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--k", type=int, required=True)
     ce.add_argument("--csv", nargs="?", const="-")
     ce.add_argument("--json-out", dest="json_out")
-    ce.add_argument("--mc", action="store_true")
-    ce.add_argument("--samples", type=int, default=20000)
-    ce.add_argument("--seed", type=int, default=0)
     ce.set_defaults(func=_cmd_census)
 
     bo = sub.add_parser("bounds", help="inequality verdict suites")

@@ -164,19 +164,15 @@ def kappa_estimate(
     k: int,
     mmax: int,
     *,
-    u_path=None,
-    v_path=None,
     method: str = "auto",
     samples: int = 20000,
     seed: int = 0,
 ) -> KappaEstimate:
     """Estimate the norm of the averaged walk operator over W_k(x, y).
 
-    A pair step w_a w_b^-1 is a closed word at x, so without paths the words
-    are the reduced walks themselves. Optional u_path (some vertex to x) and
-    v_path (y back to that vertex) conjugate every step by the same word,
-    which leaves every return probability unchanged; tests verify that by
-    passing a pair.
+    A pair step w_a w_b^-1 is a closed word at x, so the words are the
+    reduced walks themselves: conjugating every step by one fixed path would
+    leave every return probability unchanged.
 
     method "auto" uses exact tree tables when the reduced walk set is a
     free symmetric letter set (loop bouquets), otherwise an exact rational
@@ -188,33 +184,17 @@ def kappa_estimate(
     """
     if mmax < 1:
         raise ValueError("mmax must be >= 1")
+    if method not in ("auto", "exact", "mc"):
+        raise ValueError("method must be auto, exact, or mc")
     for name, v in (("x", x), ("y", y)):
         if not 0 <= v < g.nv:
             raise ValueError(f"{name} = {v} is not a vertex (0..{g.nv - 1})")
-    W = [word for word, _ in _walk_words(g, x, y, k, core.WALK_BUDGET)]
-    if not W:
+    words = [word for word, _ in _walk_words(g, x, y, k, core.WALK_BUDGET)]
+    if not words:
         raise ValueError(f"no walks of length {k} from {x} to {y}")
-    if (u_path is None) != (v_path is None):
-        raise ValueError("provide both u_path and v_path or neither")
-    u = v = ()
-    if u_path is not None:
-        u_path, v_path = tuple(u_path), tuple(v_path)
-        base = g.src[u_path[0]] if u_path else x
-        if u_path and Walk(base, u_path).vertices(g)[-1] != x:
-            raise ValueError("u_path must end at x")
-        if v_path:
-            vs = Walk(g.src[v_path[0]], v_path).vertices(g)
-            if vs[0] != y or vs[-1] != base:
-                raise ValueError("v_path must run from y back to the basepoint")
-        elif y != base:
-            raise ValueError("empty v_path requires y == basepoint")
-        u, v = reduce_word(g, u_path), reduce_word(g, v_path)
-
-    if method not in ("auto", "exact", "mc"):
-        raise ValueError("method must be auto, exact, or mc")
 
     if method == "auto" and x == y:
-        rank = _radial_rank(W)
+        rank = _radial_rank(words)
         if rank is not None:
             # pair walk = two steps of the uniform letter walk, whose
             # distance from the identity is a tree-walk radial chain
@@ -225,9 +205,7 @@ def kappa_estimate(
             est.check_monotone()
             return est
 
-    words = [_word_mul(g, _word_mul(g, u, w), v) for w in W]
     nw = len(words)
-
     if method == "mc":
         if samples < 1:
             raise ValueError("samples must be >= 1")

@@ -500,7 +500,7 @@ def test_schreier_quotients_cover_loop_and_spectral_containment():
 # -- 11: kappa estimates --------------------------------------------------------
 
 
-def test_kappa_monotone_rose_limit_and_conjugation():
+def test_kappa_monotone_and_rose_limit():
     k4 = complete_graph(4)
     for est in (
         kappa_estimate(k4, 0, 0, 2, 4, method="exact"),
@@ -512,11 +512,7 @@ def test_kappa_monotone_rose_limit_and_conjugation():
     est = kappa_estimate(rose(2), 0, 0, 1, 200)
     gap = abs(est.kappa[-1] - math.sqrt(3) / 2)
     assert gap < 1e-2, f"rose estimate gap {gap:.4f} at m=200"
-    e01 = next(e for e in range(k4.ne) if k4.src[e] == 0 and k4.dst[e] == 1)
-    plain = kappa_estimate(k4, 1, 1, 3, 2)
-    moved = kappa_estimate(k4, 1, 1, 3, 2, u_path=(e01,), v_path=(int(k4.inv[e01]),))
-    assert plain.p_even == moved.p_even
-    print(f"PASS: monotone exact, rose gap {gap:.4f} < 1e-2 at m=200, conjugation exact")
+    print(f"PASS: monotone exact, rose gap {gap:.4f} < 1e-2 at m=200")
 
 
 # -- 12: percolation cover growth ------------------------------------------------

@@ -199,28 +199,15 @@ def test_census_uniform_petersen(pet_path, tmp_path, capsys):
     assert data["nv"] == 10
 
 
-def test_census_mc_column(k4_path, capsys):
-    args = [
-        "census", "--in", k4_path, "--k", "3", "--mc",
-        "--samples", "4000", "--seed", "3",
-    ]
-    assert main(args) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "vertex,gamma_3,gamma_mc"
-    for line in lines[1:5]:
-        _, exact, mc = line.split(",")
-        assert float(mc) == pytest.approx(float(exact), abs=0.35)
-
-
-def test_census_mc_column_at_an_isolated_vertex(tmp_path, capsys):
+def test_census_at_an_isolated_vertex(tmp_path, capsys):
     from serregraph.core import from_edges
 
     graph = tmp_path / "isolated.sgf"
     graph.write_text(dumps(from_edges(4, [(0, 1), (1, 2), (2, 0)], half_loops=[0, 1, 2])))
-    assert main(["census", "--in", str(graph), "--k", "3", "--mc"]) == 0
+    assert main(["census", "--in", str(graph), "--k", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "vertex,gamma_3,gamma_mc"
-    assert lines[4] == "3,0,0.0"
+    assert lines[0] == "vertex,gamma_3"
+    assert lines[4] == "3,0"
 
 
 def test_census_on_a_graph_with_no_vertices_exit_one(tmp_path, capsys):
@@ -233,11 +220,12 @@ def test_census_on_a_graph_with_no_vertices_exit_one(tmp_path, capsys):
 
 
 def test_census_over_budget_names_what_works(pet_path, capsys):
-    # --mc runs the exact census too, so the error must not point to it
-    assert main(["census", "--in", pet_path, "--k", "17", "--mc"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: enumeration budget exceeded: 3^17 > 100000000")
-    assert "census.gamma_k_mc" in err and "--mc" not in err
+    # the census is exact or raises: the error names the budget it passed
+    assert main(["census", "--in", pet_path, "--k", "17"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: enumeration budget exceeded: 3^17 > 100000000 = census.ENUM_BUDGET\n")
 
 
 def test_census_json_renders_a_zero_density_as_zero(tmp_path, capsys):
@@ -498,15 +486,14 @@ def test_bounds_returns_past_the_float64_window(tmp_path, capsys):
          "nk must be positive and even"),
         (["bounds", "verify", "--suite", "visits", "--n", "5", "--k", "2"],
          "n must be positive and even"),
-        (["census", "--k", "3", "--mc", "--samples", "0"], "samples must be >= 1"),
         (["kappa", "--x", "0", "--y", "0", "--k", "2", "--mmax", "2", "--method", "mc",
           "--samples", "0"],
          "samples must be >= 1"),
         (["nullcycle", "sample", "--root", "0", "--n", "4", "--stats", "chi:k=0:l=1"],
          "k must be >= 1"),
     ],
-    ids=["returns-n0", "returns-n-2", "chi-nk-odd", "visits-n-odd", "census-mc-samples0",
-         "kappa-mc-samples0", "chi-stat-k0"],
+    ids=["returns-n0", "returns-n-2", "chi-nk-odd", "visits-n-odd", "kappa-mc-samples0",
+         "chi-stat-k0"],
 )
 def test_parameter_errors_name_the_parameter(pet_path, argv, message, capsys):
     assert main(argv + ["--in", pet_path]) == 1
@@ -826,21 +813,25 @@ def test_manifest_records_seeds(tmp_path, k4_path):
     assert m["params"]["seed"] == 17
 
 
+SEED = ["--seed", "17"]
+
+
 @pytest.mark.parametrize("argv, seeds", [
-    (["bounds", "verify", "--suite", "main,visits", "--k", "1"], []),
+    (["bounds", "verify", "--suite", "main,visits", "--k", "1", *SEED], []),
     (["census", "--k", "2"], []),
-    (["census", "--k", "2", "--mc", "--samples", "10"], [17]),
-    (["kappa", "--x", "0", "--y", "0", "--k", "3", "--mmax", "1"], []),
-    (["kappa", "--x", "0", "--y", "0", "--k", "3", "--mmax", "1", "--method", "exact"], []),
+    (["kappa", "--x", "0", "--y", "0", "--k", "3", "--mmax", "1", *SEED], []),
+    (["kappa", "--x", "0", "--y", "0", "--k", "3", "--mmax", "1", "--method", "exact", *SEED],
+     []),
     (["kappa", "--x", "0", "--y", "0", "--k", "3", "--mmax", "1", "--method", "mc",
-      "--samples", "10"], [17]),
-], ids=["bounds", "census", "census-mc", "kappa-auto", "kappa-exact", "kappa-mc"])
+      "--samples", "10", *SEED], [17]),
+], ids=["bounds", "census", "kappa-auto", "kappa-exact", "kappa-mc"])
 def test_manifest_records_a_seed_only_when_the_run_draws(tmp_path, k4_path, capsys, argv, seeds):
     man = tmp_path / "m.json"
-    assert main(["--manifest", str(man), *argv, "--in", k4_path, "--seed", "17"]) != 1
+    assert main(["--manifest", str(man), *argv, "--in", k4_path]) != 1
     m = json.loads(man.read_text())
     assert m["seeds"] == seeds
-    assert m["params"]["seed"] == 17
+    # the census takes no --seed, so its params hold none
+    assert m["params"].get("seed") == (17 if "--seed" in argv else None)
 
 
 def test_manifest_lists_the_fleet_seeds_not_their_count(tmp_path):
@@ -961,7 +952,7 @@ def test_bounds_imports_no_sampler_and_no_enumeration():
 
 def test_verdict_layers_leave_spectral_and_census_unloaded():
     # a layer that needs rho(G) or gamma_k takes it from its caller, and the
-    # census classifies its Monte Carlo draws without the nullcycle layer
+    # census counts its walks without the nullcycle layer
     code = (
         "import sys, serregraph.bounds, serregraph.fungroup, serregraph.nullcycles\n"
         "print([m for m in ('spectral', 'census') if 'serregraph.' + m in sys.modules])"
@@ -969,9 +960,9 @@ def test_verdict_layers_leave_spectral_and_census_unloaded():
     assert _run_python(code) == "[]"
     code = (
         "import sys\n"
-        "from serregraph.census import gamma_k_mc\n"
+        "from serregraph.census import cycle_census\n"
         "from serregraph.core import complete_graph\n"
-        "gamma_k_mc(complete_graph(4), 0, 3, samples=100)\n"
+        "cycle_census(complete_graph(4), 3)\n"
         "print('serregraph.nullcycles' in sys.modules)"
     )
     assert _run_python(code) == "False"
@@ -1013,7 +1004,7 @@ def test_defaulted_parameter_count_stays_within_budget():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
-    assert count <= 40, count
+    assert count <= 37, count
 
 
 def test_cli_import_registers_every_traced_layer_and_runs_without_openssl(tmp_path):

@@ -156,7 +156,7 @@ def _matrix(tmp):
             ["cogrowth", "--in", g, "--m", "4"],
             ["nullcycle", "sample", "--in", g, "--root", "0", "--n", "6", "--count", "2",
              "--stats", "visits,chi:k=2:l=50"],
-            ["census", "--in", g, "--k", "3", "--mc", "--samples", "50"],
+            ["census", "--in", g, "--k", "3"],
             ["bounds", "verify", "--in", g, "--suite", "main,ramanujan,returns,chi,visits,girth",
              "--k", "1..2", "--samples", "50"],
             # on the roses, k = 1 at x = y takes the radial route through

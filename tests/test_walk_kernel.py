@@ -256,14 +256,13 @@ def test_hitting_probabilities_rejects_targets_off_the_graph(target):
 @pytest.mark.parametrize("root", [-1, 10])
 @pytest.mark.parametrize("reader", [
     lambda g, v: census.gamma_k(g, v, 5),
-    lambda g, v: census.gamma_k_mc(g, v, 5, 100),
     lambda g, v: tree_radius(g, v, 2),
     lambda g, v: lemma_visits_lower(g, v, 12, 5, 0.5, 0),
     lambda g, v: _walk_words(g, v, 0, 5, 100),
     lambda g, v: _walk_words(g, 0, v, 5, 100),
-], ids=["gamma_k", "gamma_k_mc", "tree_radius", "visits", "walk-from", "walk-to"])
+], ids=["gamma_k", "tree_radius", "visits", "walk-from", "walk-to"])
 def test_walk_enumerations_reject_roots_off_the_graph(reader, root):
     # -1 used to read vertex 9's edges (gamma_5 read 0 where vertex 9 has 12,
-    # gamma_k_mc sampled vertex 9, tree_radius read 1); 10 ended in an IndexError
+    # tree_radius read 1); 10 ended in an IndexError
     with pytest.raises(ValueError, match=f"root {root} is not a vertex \\(0..9\\)"):
         reader(petersen(), root)
